@@ -41,7 +41,7 @@ int main() {
                    "not scalable beyond MCR=2 (paper Sec. II-B)"});
         continue;
       }
-      const auto ppa = scl.evaluate(cfg, spec);
+      const auto ppa = scl.evaluate(cfg, spec).ppa;
       t.add_row({to_string(style), std::to_string(mcr),
                  core::TextTable::num(ppa.fmax_mhz, 0),
                  core::TextTable::num(ppa.power_uw, 0),

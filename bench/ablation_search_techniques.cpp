@@ -61,8 +61,7 @@ int main() {
                      "MAC ok", "OFU ok", "power_uW", "area_um2",
                      "latency_cyc"});
   for (const Step& s : steps) {
-    const auto st = scl.timing_status(s.cfg, spec);
-    const auto ppa = scl.evaluate(s.cfg, spec);
+    const auto [ppa, st] = scl.evaluate(s.cfg, spec);
     t.add_row({s.name, core::TextTable::num(st.mac_period_ps, 0),
                core::TextTable::num(st.ofu_period_ps, 0),
                core::TextTable::yesno(st.mac_ok),
@@ -88,9 +87,8 @@ int main() {
        {std::pair<const char*, rtlgen::MacroConfig>{"fully registered",
                                                     reg_cfg},
         {"fused tree+S&A+OFU", fused}}) {
-    const auto ppa = scl.evaluate(c, loose);
-    t2.add_row({name,
-                core::TextTable::yesno(scl.timing_status(c, loose).all_ok()),
+    const auto [ppa, st] = scl.evaluate(c, loose);
+    t2.add_row({name, core::TextTable::yesno(st.all_ok()),
                 core::TextTable::num(ppa.power_uw, 0),
                 std::to_string(ppa.latency_cycles)});
   }

@@ -73,9 +73,8 @@ int main() {
       base.add_row({name, "-", "-", "-", "outside scope"});
       return;
     }
-    const auto ppa = compiler.scl().evaluate(*cfg, spec);
-    const bool ok = compiler.scl().timing_status(*cfg, spec).all_ok();
-    base.add_row({name, core::TextTable::yesno(ok),
+    const auto [ppa, timing] = compiler.scl().evaluate(*cfg, spec);
+    base.add_row({name, core::TextTable::yesno(timing.all_ok()),
                   core::TextTable::num(ppa.power_uw, 0),
                   core::TextTable::num(ppa.area_um2, 0), note});
   };

@@ -1,18 +1,20 @@
-// DSE sweep performance: parallel work-stealing sweep + memoized
-// evaluation cache vs. the sequential seed path (one MsoSearcher run per
+// DSE sweep performance: parallel work-stealing sweep over the memoized
+// artifact store vs. the sequential seed path (one MsoSearcher run per
 // spec against a shared SCL — exactly what the repo did before src/dse).
 //
 // Three legs over the same 12-point spec grid (freq x MCR x preference):
 //   1. sequential   — baseline `MsoSearcher::search` per spec
-//   2. cold sweep   — run_sweep, threads=N, empty cache (persisted after)
-//   3. warm sweep   — run_sweep, threads=N, cache loaded from disk
+//   2. cold sweep   — run_sweep, threads=N, empty on-disk store
+//                     (written back at the end of the run)
+//   3. warm sweep   — run_sweep, threads=N, same store directory
 //
-// Prints wall clock, speedups and cache hit rates; exits nonzero if the
-// threads+cache path is not at least 2x the sequential baseline or the
-// warm run reports no cache hits.
+// Prints wall clock, speedups and slice-tier hit rates; exits nonzero if
+// the threads+store path is not at least 2x the sequential baseline or
+// the warm run reports no slice-tier hits.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -52,7 +54,7 @@ std::vector<core::PerfSpec> make_grid() {
 int main(int argc, char** argv) {
   // Optional per-stage breakdowns: `--trace FILE` dumps a Chrome
   // trace-event JSON of the whole benchmark (all three legs), and
-  // `--metrics FILE` dumps the metrics registry (cache/pool counters,
+  // `--metrics FILE` dumps the metrics registry (slice-tier/pool counters,
   // queue-depth histogram). Either flag enables instrumentation, so the
   // default run still measures the uninstrumented hot path.
   std::string trace_path, metrics_path;
@@ -76,8 +78,8 @@ int main(int argc, char** argv) {
       cell::characterize_default_library(tech::make_default_40nm());
   const std::vector<core::PerfSpec> specs = make_grid();
   const int threads = std::max(2, dse::WorkStealingPool::default_threads());
-  const std::string cache_file = "perf_dse_sweep.cache.json";
-  std::remove(cache_file.c_str());
+  const std::string store_dir = "perf_dse_sweep.store";
+  std::filesystem::remove_all(store_dir);
 
   std::cerr << "grid: " << specs.size() << " specs, threads=" << threads
             << "\n";
@@ -94,32 +96,31 @@ int main(int argc, char** argv) {
   }
   const double sec_seq = seconds_since(t_seq);
 
-  // Leg 2: parallel sweep, cold cache, persisted to disk.
+  // Leg 2: parallel sweep, cold store, written back to disk.
   dse::SweepOptions opt;
   opt.threads = threads;
-  opt.use_cache = true;
-  opt.cache_path = cache_file;
+  opt.store_dir = store_dir;
   const auto t_cold = std::chrono::steady_clock::now();
   const dse::SweepReport cold = dse::run_sweep(lib, specs, opt);
   const double sec_cold = seconds_since(t_cold);
 
-  // Leg 3: identical sweep, cache warm from disk.
+  // Leg 3: identical sweep, store warm from disk.
   const auto t_warm = std::chrono::steady_clock::now();
   const dse::SweepReport warm = dse::run_sweep(lib, specs, opt);
   const double sec_warm = seconds_since(t_warm);
-  std::remove(cache_file.c_str());
+  std::filesystem::remove_all(store_dir);
 
   core::TextTable t({"leg", "wall_s", "speedup", "cache_hits",
                      "cache_misses", "hit_rate_pct", "stolen"});
   t.add_row({"sequential", core::TextTable::num(sec_seq, 2), "1.00", "-",
              "-", "-", "-"});
-  t.add_row({"cold threads+cache", core::TextTable::num(sec_cold, 2),
+  t.add_row({"cold threads+store", core::TextTable::num(sec_cold, 2),
              core::TextTable::num(sec_seq / sec_cold, 2),
              std::to_string(cold.cache.hits),
              std::to_string(cold.cache.misses),
              core::TextTable::num(100.0 * cold.cache.hit_rate(), 1),
              std::to_string(cold.pool.stolen)});
-  t.add_row({"warm threads+cache", core::TextTable::num(sec_warm, 2),
+  t.add_row({"warm threads+store", core::TextTable::num(sec_warm, 2),
              core::TextTable::num(sec_seq / sec_warm, 2),
              std::to_string(warm.cache.hits),
              std::to_string(warm.cache.misses),
@@ -132,13 +133,14 @@ int main(int argc, char** argv) {
   for (const auto& sr : cold.per_spec) cold_points += sr.result.explored.size();
   for (const auto& sr : warm.per_spec) warm_points += sr.result.explored.size();
   std::cout << cold_points << ", warm " << warm_points << "\n";
-  std::cout << "warm cache: " << warm.cache.loaded << " entries loaded from "
-            << "disk, " << warm.cache.miss_eval_ms
-            << " ms spent in miss evaluations\n";
+  std::uint64_t warm_l2_hits = 0;
+  for (const auto& tier : warm.artifacts) warm_l2_hits += tier.l2_hits;
+  std::cout << "warm store: " << warm.cache.hits << " slice hits, "
+            << warm_l2_hits << " artifacts read from disk\n";
 
   const double best_speedup = sec_seq / std::min(sec_cold, sec_warm);
   const bool ok = best_speedup >= 2.0 && warm.cache.hits > 0;
-  std::cout << (ok ? "PASS" : "FAIL") << ": threads+cache speedup "
+  std::cout << (ok ? "PASS" : "FAIL") << ": threads+store speedup "
             << core::TextTable::num(best_speedup, 2) << "x (>= 2x required), "
             << warm.cache.hits << " warm hits (nonzero required)\n";
 

@@ -57,7 +57,7 @@ int main() {
                       .count();
   std::cerr << searches << " searches, " << points
             << " Pareto points in " << core::TextTable::num(dt, 1)
-            << " s (" << compiler.scl().cache_entries()
+            << " s (" << compiler.scl().artifacts().slices.stats().entries
             << " cached slice characterizations)\n";
   return 0;
 }

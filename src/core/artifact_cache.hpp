@@ -1,4 +1,5 @@
 #pragma once
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -12,9 +13,12 @@
 #include <vector>
 
 #include "core/blob_store.hpp"
+#include "obs/obs.hpp"
 
-// Header-only, dependency-free: included from netlist/power/layout as well
-// as core, without adding link edges between those libraries.
+// Header-only: included from netlist/power/layout as well as core,
+// without adding link edges between those libraries. Only
+// get_or_compute's wait span reaches into syn_obs, and only the layers
+// that call it (core and above) instantiate it.
 
 namespace syndcim::core {
 
@@ -96,7 +100,13 @@ struct ArtifactTierStats {
   /// L2 payloads that decoded unsuccessfully (foreign codec version);
   /// distinct from the blob store's own corrupt-object counters.
   std::uint64_t l2_rejects = 0;
+  /// get_or_compute callers that found their key being computed by
+  /// another caller and waited for that result instead of recomputing.
+  std::uint64_t inflight_waits = 0;
   [[nodiscard]] std::uint64_t lookups() const { return hits + misses; }
+  [[nodiscard]] double hit_rate() const {
+    return lookups() > 0 ? static_cast<double>(hits) / lookups() : 0.0;
+  }
 };
 
 /// One content-addressed artifact tier: immutable values keyed by a
@@ -119,6 +129,10 @@ struct ArtifactTierStats {
 /// flush — or when LRU eviction would otherwise lose them). A decode
 /// failure counts as a miss and falls back to recomputing, so a stale or
 /// foreign store degrades to cold, never to wrong.
+///
+/// In-flight deduplication: `get_or_compute` claims a missing key before
+/// computing it, so concurrent callers of that key wait for the first
+/// one's result instead of repeating the work (see get_or_compute).
 template <typename T>
 class ArtifactCache {
  public:
@@ -134,12 +148,7 @@ class ArtifactCache {
     {
       const std::lock_guard<std::mutex> lock(mu_);
       if (!enabled_) return nullptr;
-      const auto it = map_.find(key);
-      if (it != map_.end()) {
-        ++hits_;
-        lru_.splice(lru_.begin(), lru_, it->second.lru);
-        return it->second.value;
-      }
+      if (auto hit = hit_l1(key)) return hit;
       if (l2_ == nullptr) {
         ++misses_;
         return nullptr;
@@ -158,10 +167,59 @@ class ArtifactCache {
     return install(key, std::move(sp), /*dirty=*/l2_ != nullptr);
   }
 
+  /// Returns the artifact for `key`, computing it with `fn` on a miss.
+  /// The first caller of a missing key claims it; concurrent callers of
+  /// the same key wait for that caller (counted in
+  /// stats().inflight_waits, traced as `artifact.<tier>.wait`) and get
+  /// the same pointer. If the claiming caller throws, its claim is
+  /// dropped and one waiter recomputes. With an L2 attached the claimant
+  /// reads through before computing. A disabled tier computes every call.
   template <typename Fn>
   std::shared_ptr<const T> get_or_compute(const std::string& key, Fn&& fn) {
-    if (auto hit = find(key)) return hit;
-    return put(key, std::forward<Fn>(fn)());
+    std::shared_ptr<Flight> flight;
+    bool read_l2 = false;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (!enabled_) {
+        lock.unlock();
+        return std::make_shared<const T>(std::forward<Fn>(fn)());
+      }
+      while (true) {
+        if (auto hit = hit_l1(key)) return hit;
+        const auto fl = inflight_.find(key);
+        if (fl == inflight_.end()) break;
+        const std::shared_ptr<Flight> other = fl->second;
+        ++inflight_waits_;
+        {
+          const obs::SpanGuard wait_span("artifact." + name_ + ".wait");
+          done_cv_.wait(lock, [&] { return other->done; });
+        }
+        if (other->value != nullptr) {
+          ++hits_;
+          return other->value;
+        }
+        // The claimant threw: look again, and claim the key if no other
+        // waiter did first.
+      }
+      flight = std::make_shared<Flight>();
+      inflight_.emplace(key, flight);
+      read_l2 = l2_ != nullptr;
+      if (!read_l2) ++misses_;  // find_l2 counts its own outcome
+    }
+    std::shared_ptr<const T> out;
+    try {
+      if (read_l2) out = find_l2(key);
+      if (out == nullptr) {
+        auto sp = std::make_shared<const T>(std::forward<Fn>(fn)());
+        const std::lock_guard<std::mutex> lock(mu_);
+        out = install(key, std::move(sp), /*dirty=*/l2_ != nullptr);
+      }
+    } catch (...) {
+      land(key, *flight, nullptr);
+      throw;
+    }
+    land(key, *flight, out);
+    return out;
   }
 
   void set_enabled(bool on) {
@@ -258,6 +316,7 @@ class ArtifactCache {
     s.l2_writes = l2_writes_;
     s.l2_write_fails = l2_write_fails_;
     s.l2_rejects = l2_rejects_;
+    s.inflight_waits = inflight_waits_;
     return s;
   }
 
@@ -265,7 +324,7 @@ class ArtifactCache {
     const std::lock_guard<std::mutex> lock(mu_);
     map_.clear();
     lru_.clear();
-    hits_ = misses_ = evicted_ = 0;
+    hits_ = misses_ = evicted_ = inflight_waits_ = 0;
     l2_hits_ = l2_misses_ = l2_writes_ = l2_write_fails_ = l2_rejects_ = 0;
     bytes_ = 0;
   }
@@ -277,6 +336,33 @@ class ArtifactCache {
     std::size_t bytes = 0;  ///< this entry's accounted footprint
     bool dirty = false;     ///< inserted since the last L2 flush
   };
+
+  /// L1 lookup under mu_: a hit is counted and moved to the LRU front.
+  std::shared_ptr<const T> hit_l1(const std::string& key) {
+    const auto it = map_.find(key);
+    if (it == map_.end()) return nullptr;
+    ++hits_;
+    lru_.splice(lru_.begin(), lru_, it->second.lru);
+    return it->second.value;
+  }
+
+  /// One claimed get_or_compute key; guarded by mu_.
+  struct Flight {
+    bool done = false;
+    std::shared_ptr<const T> value;  ///< nullptr when the claimant threw
+  };
+
+  /// Releases a claimed key and wakes its waiters.
+  void land(const std::string& key, Flight& flight,
+            std::shared_ptr<const T> value) {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      inflight_.erase(key);
+      flight.value = std::move(value);
+      flight.done = true;
+    }
+    done_cv_.notify_all();
+  }
 
   /// Per-entry footprint: the payload shell plus the key stored twice
   /// (map node and LRU list node), plus the deep payload bytes when the
@@ -364,6 +450,7 @@ class ArtifactCache {
   std::uint64_t l2_writes_ = 0;
   std::uint64_t l2_write_fails_ = 0;
   std::uint64_t l2_rejects_ = 0;
+  std::uint64_t inflight_waits_ = 0;
   std::size_t bytes_ = 0;
   std::size_t max_entries_ = 0;  ///< 0 = unlimited
   std::size_t max_bytes_ = 0;    ///< 0 = unlimited
@@ -373,6 +460,9 @@ class ArtifactCache {
   DecodeFn l2_decode_;
   std::unordered_map<std::string, Slot> map_;
   std::list<std::string> lru_;  ///< front = most recently touched
+  /// Keys claimed by a computing get_or_compute caller.
+  std::unordered_map<std::string, std::shared_ptr<Flight>> inflight_;
+  std::condition_variable done_cv_;  ///< a Flight landed
 };
 
 }  // namespace syndcim::core

@@ -18,6 +18,7 @@ constexpr std::uint8_t kPlacedArtVersion = 1;
 constexpr std::uint8_t kRouteArtVersion = 1;
 constexpr std::uint8_t kTimingArtVersion = 1;
 constexpr std::uint8_t kPowerArtVersion = 1;
+constexpr std::uint8_t kSliceEvalVersion = 1;
 
 void encode_diags(BinWriter& w, const std::vector<Diagnostic>& diags) {
   w.u8(kDiagListVersion);
@@ -194,6 +195,47 @@ PowerArtifact decode_power_artifact(std::string_view payload) {
   return a;
 }
 
+std::string encode_slice_eval(const SliceEval& e) {
+  BinWriter w;
+  w.u8(kSliceEvalVersion);
+  w.i32(e.slice_cols);
+  w.f64(e.min_period_ps);
+  w.f64(e.min_write_period_ps);
+  w.f64(e.mac_path_period_ps);
+  w.f64(e.ofu_path_period_ps);
+  w.u64(e.gate_count);
+  w.u32(static_cast<std::uint32_t>(e.groups.size()));
+  for (const SliceEval::GroupCost& g : e.groups) {
+    w.str(g.group);
+    w.f64(g.dynamic_fj);
+    w.f64(g.leakage_nw);
+    w.f64(g.area_um2);
+  }
+  return w.take();
+}
+
+SliceEval decode_slice_eval(std::string_view payload) {
+  BinReader r(payload);
+  check_version(r, kSliceEvalVersion, "slice characterization");
+  SliceEval e;
+  e.slice_cols = r.i32();
+  e.min_period_ps = r.f64();
+  e.min_write_period_ps = r.f64();
+  e.mac_path_period_ps = r.f64();
+  e.ofu_path_period_ps = r.f64();
+  e.gate_count = static_cast<std::size_t>(r.u64());
+  const std::uint32_t n = r.len(28);  // name length + three doubles
+  e.groups.resize(n);
+  for (SliceEval::GroupCost& g : e.groups) {
+    g.group = r.str();
+    g.dynamic_fj = r.f64();
+    g.leakage_nw = r.f64();
+    g.area_um2 = r.f64();
+  }
+  r.expect_end();
+  return e;
+}
+
 std::size_t deep_bytes(const LintArtifact& a) {
   return lint::deep_bytes(a.summary) + diags_bytes(a.diags);
 }
@@ -209,6 +251,11 @@ std::size_t deep_bytes(const TimingArtifact& a) {
 }
 std::size_t deep_bytes(const PowerArtifact& a) {
   return power::deep_bytes(a.power) + power::deep_bytes(a.area);
+}
+std::size_t deep_bytes(const SliceEval& e) {
+  std::size_t n = deep_vec_bytes(e.groups);
+  for (const SliceEval::GroupCost& g : e.groups) n += deep_str_bytes(g.group);
+  return n;
 }
 
 // --- store wiring ----------------------------------------------------------
@@ -235,6 +282,8 @@ void install_deep_bytes(ArtifactStore& store) {
       [](const PowerArtifact& a) { return deep_bytes(a); });
   store.act_models.set_deep_bytes(
       [](const power::ActivityModel& m) { return power::deep_bytes(m); });
+  store.slices.set_deep_bytes(
+      [](const SliceEval& e) { return deep_bytes(e); });
 }
 
 void attach_blob_store(ArtifactStore& store, BlobStore* l2) {
@@ -255,6 +304,7 @@ void attach_blob_store(ArtifactStore& store, BlobStore* l2) {
   attach_tier(store.powers, l2, encode_power_artifact, decode_power_artifact);
   attach_tier(store.act_models, l2, power::encode_activity_model,
               power::decode_activity_model);
+  attach_tier(store.slices, l2, encode_slice_eval, decode_slice_eval);
 }
 
 }  // namespace syndcim::core

@@ -11,7 +11,8 @@ namespace syndcim::core {
 class BlobStore;
 
 // Codecs for the composite stage artifacts (lints, placed, routes,
-// timings, powers) and the Diagnostic records they replay, plus the
+// timings, powers), the slice characterizations and the Diagnostic
+// records the stage artifacts replay, plus the
 // wiring that turns an ArtifactStore into a two-level cache over a
 // BlobStore. Per-payload codecs live in their own layers
 // (netlist/sta/layout/power/lint serialize.hpp); this file only composes
@@ -32,19 +33,23 @@ class BlobStore;
 [[nodiscard]] std::string encode_power_artifact(const PowerArtifact& a);
 [[nodiscard]] PowerArtifact decode_power_artifact(std::string_view payload);
 
+[[nodiscard]] std::string encode_slice_eval(const SliceEval& e);
+[[nodiscard]] SliceEval decode_slice_eval(std::string_view payload);
+
 [[nodiscard]] std::size_t deep_bytes(const LintArtifact& a);
 [[nodiscard]] std::size_t deep_bytes(const PlacedArtifact& a);
 [[nodiscard]] std::size_t deep_bytes(const RouteArtifact& a);
 [[nodiscard]] std::size_t deep_bytes(const TimingArtifact& a);
 [[nodiscard]] std::size_t deep_bytes(const PowerArtifact& a);
+[[nodiscard]] std::size_t deep_bytes(const SliceEval& e);
 
-/// Installs the deep-payload-bytes hooks on all ten tiers, making
+/// Installs the deep-payload-bytes hooks on every tier, making
 /// ArtifactTierStats::bytes (and the --cache-cap-bytes bound) reflect
 /// real heap memory. ArtifactStore's constructor calls this; it is
 /// idempotent.
 void install_deep_bytes(ArtifactStore& store);
 
-/// Attaches `l2` as the durable layer under all ten tiers, wiring each
+/// Attaches `l2` as the durable layer under every tier, wiring each
 /// tier's encode/decode codec. nullptr detaches. `l2` must outlive the
 /// store or a later detach.
 void attach_blob_store(ArtifactStore& store, BlobStore* l2);

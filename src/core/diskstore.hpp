@@ -43,8 +43,7 @@ struct DiskStoreStats {
 /// A crash mid-write leaves only a dead tmp file, swept on next open.
 ///
 /// Corrupt, truncated, or foreign objects are skipped as misses and
-/// reported as CACHE-TRUNC / CACHE-CORRUPT diagnostics (the eval-cache
-/// CACHE-BADENTRY persistence pattern generalized). DiagEngine is not
+/// reported as CACHE-TRUNC / CACHE-CORRUPT diagnostics. DiagEngine is not
 /// thread-safe, so findings are buffered internally under the store's
 /// mutex and handed over via drain_diags().
 class DiskBlobStore final : public BlobStore {

@@ -31,17 +31,24 @@ SubcircuitLibrary::SubcircuitLibrary(const cell::Library& lib,
                                      std::shared_ptr<ArtifactStore> store)
     : lib_(lib), store_(std::move(store)) {
   // Artifact keys of library-dependent stages embed the fingerprint;
-  // computing it here (single-threaded) makes later concurrent reads safe.
+  // computing it here makes the concurrent slice() calls pure reads.
+  // Code that constructs libraries from several threads forces it first
+  // (the serve daemon does).
   (void)lib_.fingerprint();
 }
 
-const SliceEval& SubcircuitLibrary::slice(const MacroConfig& cfg) {
+std::shared_ptr<const SliceEval> SubcircuitLibrary::slice(
+    const MacroConfig& cfg) const {
   // The slice content key already normalizes the column count, so every
   // configuration differing only in `cols` maps to one characterization.
   const std::string skey = rtlgen::slice_content_key(cfg);
-  const auto it = cache_.find(skey);
-  if (it != cache_.end()) return it->second;
+  return store_->slices.get_or_compute(
+      "slice1|" + skey + "|" + lib_.fingerprint(),
+      [&] { return characterize(cfg, skey); });
+}
 
+SliceEval SubcircuitLibrary::characterize(const MacroConfig& cfg,
+                                          const std::string& skey) const {
   // Slice: one OFU group wide (min 8 columns to satisfy the generator).
   MacroConfig sc = cfg;
   sc.cols = std::max(cfg.max_weight_bits(), 8);
@@ -142,15 +149,20 @@ const SliceEval& SubcircuitLibrary::slice(const MacroConfig& cfg) {
                       : 0.0;
     ev.groups.push_back(std::move(gc));
   }
-  last_stages_ = pipe.records();
-  return cache_.emplace(skey, std::move(ev)).first->second;
+  return ev;
 }
 
-SubcircuitLibrary::PathStatus SubcircuitLibrary::timing_status(
-    const MacroConfig& cfg, const PerfSpec& spec) {
-  const SliceEval& ev = slice(cfg);
-  const double ds = lib_.node().delay_scale(spec.vdd);
-  PathStatus st;
+EvalOutcome SubcircuitLibrary::evaluate(const MacroConfig& cfg,
+                                        const PerfSpec& spec) const {
+  const std::shared_ptr<const SliceEval> slice_ev = slice(cfg);
+  const SliceEval& ev = *slice_ev;
+  const tech::TechNode& node = lib_.node();
+  const double ds = node.delay_scale(spec.vdd);
+  const double es = node.energy_scale(spec.vdd);
+  const double ls = node.leakage_scale(spec.vdd);
+  EvalOutcome out;
+
+  PathStatus& st = out.timing;
   st.mac_period_ps = ev.mac_path_period_ps * ds;
   st.ofu_period_ps = ev.ofu_path_period_ps * ds;
   st.write_period_ps = ev.min_write_period_ps * ds;
@@ -160,18 +172,8 @@ SubcircuitLibrary::PathStatus SubcircuitLibrary::timing_status(
   st.mac_ok = st.mac_period_ps <= target;
   st.ofu_ok = st.ofu_period_ps <= target;
   st.write_ok = st.write_period_ps <= wtarget;
-  return st;
-}
 
-PpaEstimate SubcircuitLibrary::evaluate(const MacroConfig& cfg,
-                                        const PerfSpec& spec) {
-  const SliceEval& ev = slice(cfg);
-  const tech::TechNode& node = lib_.node();
-  const double ds = node.delay_scale(spec.vdd);
-  const double es = node.energy_scale(spec.vdd);
-  const double ls = node.leakage_scale(spec.vdd);
-
-  PpaEstimate ppa;
+  PpaEstimate& ppa = out.ppa;
   ppa.fmax_mhz = 1.0e6 / (ev.min_period_ps * ds);
   ppa.write_fmax_mhz = 1.0e6 / (ev.min_write_period_ps * ds);
 
@@ -209,7 +211,7 @@ PpaEstimate SubcircuitLibrary::evaluate(const MacroConfig& cfg,
       rtlgen::OfuModuleConfig{cfg.max_weight_bits(), cfg.sa_width(),
                               cfg.ofu}
           .n_stages());
-  return ppa;
+  return out;
 }
 
 std::vector<rtlgen::AdderTreeConfig> SubcircuitLibrary::faster_tree_ladder(

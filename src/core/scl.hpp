@@ -1,5 +1,4 @@
 #pragma once
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,48 +11,41 @@
 
 namespace syndcim::core {
 
-/// Characterized PPA of one macro configuration, obtained by elaborating a
-/// single-OFU-group *slice* of the macro (all columns are identical, so
-/// the slice's stage timing and per-group power/area compose exactly into
-/// the full macro). Cached per configuration — this is the paper's
-/// "subcircuit library with PPA lookup tables": the searcher consults
-/// these entries instead of re-elaborating full macros.
-struct SliceEval {
-  int slice_cols = 0;
-  // Nominal-voltage timing (scale by TechNode::delay_scale for other VDD).
-  double min_period_ps = 0.0;        ///< MAC-domain limit incl. OFU/outputs
-  double min_write_period_ps = 0.0;  ///< weight-update limit
-  /// Minimum feasible period of the MAC array pipeline stages (column
-  /// tree/S&A plus drivers/alignment), excluding the OFU/output stage —
-  /// the "adder path" of Algorithm 1.
-  double mac_path_period_ps = 0.0;
-  /// Minimum feasible period of the OFU/output stage ("OFU path").
-  double ofu_path_period_ps = 0.0;
+/// Timing classification at the spec voltage for Algorithm 1: does the
+/// MAC ("adder") path meet, does the OFU path meet, does the write path
+/// meet?
+struct PathStatus {
+  double mac_period_ps = 0.0;
+  double ofu_period_ps = 0.0;
+  double write_period_ps = 0.0;
+  bool mac_ok = false;
+  bool ofu_ok = false;
+  bool write_ok = false;
+  [[nodiscard]] bool all_ok() const { return mac_ok && ofu_ok && write_ok; }
+};
 
-  // Per-group nominal dynamic energy (fJ per cycle, 50% data activity),
-  // leakage (nW) and cell area (um^2), keyed by depth-1 group name.
-  struct GroupCost {
-    std::string group;
-    double dynamic_fj = 0.0;
-    double leakage_nw = 0.0;
-    double area_um2 = 0.0;
-  };
-  std::vector<GroupCost> groups;
-  std::size_t gate_count = 0;
+/// Everything the searcher needs to know about one (configuration, spec)
+/// pair: the PPA estimate and the per-path timing classification, both
+/// derived from one slice characterization.
+struct EvalOutcome {
+  PpaEstimate ppa;
+  PathStatus timing;
 };
 
 /// The SynDCIM Subcircuit Library (SCL).
 ///
 /// Characterization runs as a staged pipeline (gen+stitch -> floorplan ->
 /// route -> sta -> activity -> power) over a content-addressed
-/// ArtifactStore; each stage skips when its input key is already present.
-/// Because the slice content key normalizes the column count, every
-/// configuration differing only in `cols` shares one characterization,
-/// and a one-knob delta re-runs only the stages its knob reaches.
+/// ArtifactStore; each stage skips when its input key is already present,
+/// and the composed SliceEval lands in the store's `slices` tier. Because
+/// the slice content key normalizes the column count, every configuration
+/// differing only in `cols` shares one characterization, and a one-knob
+/// delta re-runs only the stages its knob reaches.
 ///
-/// The store can be shared across SubcircuitLibrary instances (and with
-/// the compiler / DSE worker threads): the tiers are thread-safe, while
-/// `slice()` itself is not — callers serialize it (SclEvalBackend does).
+/// The library holds no state besides its store, and the store's tiers
+/// are thread-safe with in-flight deduplication, so any number of
+/// threads (sweep workers, serve requests) may evaluate through one
+/// library — or through several libraries sharing one store — at once.
 class SubcircuitLibrary {
  public:
   /// Owns a private artifact store.
@@ -64,27 +56,15 @@ class SubcircuitLibrary {
   SubcircuitLibrary(const cell::Library& lib,
                     std::shared_ptr<ArtifactStore> store);
 
-  /// Cached slice characterization of `cfg`.
-  const SliceEval& slice(const rtlgen::MacroConfig& cfg);
+  /// Slice characterization of `cfg`: one lookup in the `slices` tier,
+  /// characterizing on a miss.
+  [[nodiscard]] std::shared_ptr<const SliceEval> slice(
+      const rtlgen::MacroConfig& cfg) const;
 
-  /// Full-macro search-time PPA estimate under `spec`'s frequency/voltage.
-  [[nodiscard]] PpaEstimate evaluate(const rtlgen::MacroConfig& cfg,
-                                     const PerfSpec& spec);
-
-  /// Timing classification at the spec voltage for Algorithm 1: does the
-  /// MAC ("adder") path meet, does the OFU path meet, does the write path
-  /// meet?
-  struct PathStatus {
-    double mac_period_ps = 0.0;
-    double ofu_period_ps = 0.0;
-    double write_period_ps = 0.0;
-    bool mac_ok = false;
-    bool ofu_ok = false;
-    bool write_ok = false;
-    [[nodiscard]] bool all_ok() const { return mac_ok && ofu_ok && write_ok; }
-  };
-  [[nodiscard]] PathStatus timing_status(const rtlgen::MacroConfig& cfg,
-                                         const PerfSpec& spec);
+  /// Full-macro search-time PPA estimate and path timing of `cfg` under
+  /// `spec`'s frequency/voltage, from one slice() lookup.
+  [[nodiscard]] EvalOutcome evaluate(const rtlgen::MacroConfig& cfg,
+                                     const PerfSpec& spec) const;
 
   /// tt1's "faster adders available in the SCL": the next-faster adder
   /// tree variant after `cur`, if any (more full adders, then reorder).
@@ -92,7 +72,6 @@ class SubcircuitLibrary {
   faster_tree_ladder(const rtlgen::AdderTreeConfig& cur);
 
   [[nodiscard]] const cell::Library& cells() const { return lib_; }
-  [[nodiscard]] std::size_t cache_entries() const { return cache_.size(); }
 
   /// The subcircuit-artifact store this library characterizes through.
   [[nodiscard]] ArtifactStore& artifacts() { return *store_; }
@@ -100,17 +79,15 @@ class SubcircuitLibrary {
       const {
     return store_;
   }
-  /// Stage run/skip records of the most recent slice() characterization
-  /// that missed the SliceEval memo (empty before the first miss).
-  [[nodiscard]] const std::vector<StageRecord>& last_slice_stages() const {
-    return last_stages_;
-  }
 
  private:
+  /// Runs the slice stage pipeline (the `slices` tier's compute); `skey`
+  /// is the slice content key of `cfg`.
+  [[nodiscard]] SliceEval characterize(const rtlgen::MacroConfig& cfg,
+                                       const std::string& skey) const;
+
   const cell::Library& lib_;
   std::shared_ptr<ArtifactStore> store_;
-  std::map<std::string, SliceEval> cache_;  ///< keyed by slice content key
-  std::vector<StageRecord> last_stages_;
 };
 
 }  // namespace syndcim::core

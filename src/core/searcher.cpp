@@ -39,7 +39,7 @@ DesignPoint MsoSearcher::evaluate(const MacroConfig& cfg,
                                   const PerfSpec& spec,
                                   std::vector<std::string> applied,
                                   SearchResult& out) {
-  const EvalOutcome ev = eval_.evaluate(cfg, spec);
+  const EvalOutcome ev = scl_.evaluate(cfg, spec);
   DesignPoint p;
   p.cfg = cfg;
   p.applied = std::move(applied);

@@ -1,10 +1,8 @@
 #pragma once
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/design_point.hpp"
-#include "core/eval_backend.hpp"
 #include "core/scl.hpp"
 #include "core/spec.hpp"
 
@@ -54,18 +52,13 @@ struct TrajectorySeed {
 /// feasible power/area frontier the user (or the preference weights)
 /// selects from.
 ///
-/// Evaluation goes through an injectable `EvalBackend`, so the DSE layer
-/// can interpose a memoized cache (or any other evaluation service)
-/// without the search logic noticing.
+/// Every evaluation is one SubcircuitLibrary::evaluate call, memoized by
+/// the library's slice tier. The searcher is stateless across calls and
+/// the library is thread-safe, so one instance may be shared by
+/// concurrent threads (the DSE sweep runs its trajectories that way).
 class MsoSearcher {
  public:
-  /// Classic construction: evaluate directly against the SCL.
-  explicit MsoSearcher(SubcircuitLibrary& scl)
-      : owned_(std::make_unique<SclEvalBackend>(scl)), eval_(*owned_) {}
-  /// Hooked construction: evaluate through `backend` (not owned). The
-  /// searcher itself is stateless across calls, so one instance may be
-  /// shared by concurrent threads iff the backend is thread-safe.
-  explicit MsoSearcher(EvalBackend& backend) : eval_(backend) {}
+  explicit MsoSearcher(SubcircuitLibrary& scl) : scl_(scl) {}
 
   [[nodiscard]] SearchResult search(const PerfSpec& spec);
 
@@ -81,9 +74,9 @@ class MsoSearcher {
  private:
   DesignPoint evaluate(const rtlgen::MacroConfig& cfg, const PerfSpec& spec,
                        std::vector<std::string> applied, SearchResult& out);
-  [[nodiscard]] SubcircuitLibrary::PathStatus timing(
-      const rtlgen::MacroConfig& cfg, const PerfSpec& spec) {
-    return eval_.evaluate(cfg, spec).timing;
+  [[nodiscard]] PathStatus timing(const rtlgen::MacroConfig& cfg,
+                                  const PerfSpec& spec) {
+    return scl_.evaluate(cfg, spec).timing;
   }
   /// Step 2 for one trajectory; returns false if the path cannot be fixed.
   bool fix_mac_path(rtlgen::MacroConfig& cfg, const PerfSpec& spec,
@@ -96,8 +89,7 @@ class MsoSearcher {
   void fine_tune(const rtlgen::MacroConfig& cfg, const PerfSpec& spec,
                  const std::vector<std::string>& applied, SearchResult& out);
 
-  std::unique_ptr<EvalBackend> owned_;  ///< only for the SCL convenience ctor
-  EvalBackend& eval_;
+  SubcircuitLibrary& scl_;
 };
 
 }  // namespace syndcim::core

@@ -58,7 +58,7 @@ struct PerfSpec {
 /// PPA *preference* weights are deliberately excluded — they only affect
 /// final selection, so specs differing in preference alone share cache
 /// entries. Doubles are rendered as hexfloat, so no two distinct values
-/// collide by rounding. Stage artifact keys and the DSE evaluation cache
+/// collide by rounding. Stage artifact keys and the DSE evaluation key
 /// both embed this string (dse::canonical_spec_knobs_key forwards here).
 [[nodiscard]] std::string spec_knobs_key(const PerfSpec& s);
 

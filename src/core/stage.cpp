@@ -28,6 +28,7 @@ std::size_t ArtifactStore::flush_l2() {
   n += timings.flush_l2();
   n += powers.flush_l2();
   n += act_models.flush_l2();
+  n += slices.flush_l2();
   return n;
 }
 
@@ -42,6 +43,7 @@ void ArtifactStore::set_enabled(bool on) {
   timings.set_enabled(on);
   powers.set_enabled(on);
   act_models.set_enabled(on);
+  slices.set_enabled(on);
 }
 
 void ArtifactStore::set_capacity(std::size_t max_entries,
@@ -56,13 +58,14 @@ void ArtifactStore::set_capacity(std::size_t max_entries,
   timings.set_capacity(max_entries, max_bytes);
   powers.set_capacity(max_entries, max_bytes);
   act_models.set_capacity(max_entries, max_bytes);
+  slices.set_capacity(max_entries, max_bytes);
 }
 
 std::vector<ArtifactTierStats> ArtifactStore::stats() const {
   return {modules.stats(), blocks.stats(),  flats.stats(),
           activity.stats(), lints.stats(),  placed.stats(),
           routes.stats(),  timings.stats(), powers.stats(),
-          act_models.stats()};
+          act_models.stats(), slices.stats()};
 }
 
 std::uint64_t ArtifactStore::total_hits() const {

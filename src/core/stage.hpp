@@ -59,6 +59,36 @@ struct PowerArtifact {
   power::AreaReport area;
 };
 
+/// Characterized PPA of one macro configuration, obtained by elaborating a
+/// single-OFU-group *slice* of the macro (all columns are identical, so
+/// the slice's stage timing and per-group power/area compose exactly into
+/// the full macro). This is the paper's "subcircuit library with PPA
+/// lookup tables": the searcher consults these entries (the `slices`
+/// tier) instead of re-elaborating full macros.
+struct SliceEval {
+  int slice_cols = 0;
+  // Nominal-voltage timing (scale by TechNode::delay_scale for other VDD).
+  double min_period_ps = 0.0;        ///< MAC-domain limit incl. OFU/outputs
+  double min_write_period_ps = 0.0;  ///< weight-update limit
+  /// Minimum feasible period of the MAC array pipeline stages (column
+  /// tree/S&A plus drivers/alignment), excluding the OFU/output stage —
+  /// the "adder path" of Algorithm 1.
+  double mac_path_period_ps = 0.0;
+  /// Minimum feasible period of the OFU/output stage ("OFU path").
+  double ofu_path_period_ps = 0.0;
+
+  // Per-group nominal dynamic energy (fJ per cycle, 50% data activity),
+  // leakage (nW) and cell area (um^2), keyed by depth-1 group name.
+  struct GroupCost {
+    std::string group;
+    double dynamic_fj = 0.0;
+    double leakage_nw = 0.0;
+    double area_um2 = 0.0;
+  };
+  std::vector<GroupCost> groups;
+  std::size_t gate_count = 0;
+};
+
 /// Replays `diags` into `sink` (used when a cached artifact is spliced in
 /// place of running its stage).
 void replay_diags(const std::vector<Diagnostic>& diags, DiagEngine& sink);
@@ -68,11 +98,11 @@ void replay_diags(const std::vector<Diagnostic>& diags, DiagEngine& sink);
 // ---------------------------------------------------------------------------
 
 /// The subcircuit-artifact cache: one content-addressed tier per compile
-/// stage output, shared across configurations, specs and sweep worker
-/// threads. This is the fine-grained second cache tier under the DSE's
-/// whole-config evaluation cache — a one-knob configuration delta misses
-/// the whole-config tier but still reuses every subcircuit artifact the
-/// delta did not touch.
+/// stage output plus the slice characterizations composed from them,
+/// shared across configurations, specs, sweep worker threads and serve
+/// requests. It is the compiler's only memo layer: a repeated slice is
+/// one `slices` hit, and a one-knob configuration delta that misses the
+/// slice tier still reuses every stage artifact the delta did not touch.
 ///
 /// Keys are 32-hex content digests (see ArtifactHasher) prefixed with a
 /// stage/version tag. What a key covers is stage-specific:
@@ -82,7 +112,8 @@ void replay_diags(const std::vector<Diagnostic>& diags, DiagEngine& sink);
 ///    + library fingerprint,
 ///  - lints / placed / routes / timings / powers / sim_activity: config
 ///    key + library fingerprint (+ spec timing knobs / workload where the
-///    stage reads them).
+///    stage reads them),
+///  - slices: slice content key + library fingerprint.
 ///
 /// Disabling the store (`set_enabled(false)`) turns every tier into a
 /// silent bypass: the cold reference path runs the exact same code, which
@@ -105,6 +136,9 @@ struct ArtifactStore {
   /// Whole activity models: search-time propagated (slice pipeline) and
   /// workload-simulated (implement pipeline), distinguished by key prefix.
   ArtifactCache<power::ActivityModel> act_models{"act_models"};
+  /// Slice characterizations (SubcircuitLibrary::slice), composed from
+  /// the stage tiers above.
+  ArtifactCache<SliceEval> slices{"slices"};
 
   void set_enabled(bool on);
   [[nodiscard]] bool enabled() const { return flats.enabled(); }
@@ -115,8 +149,8 @@ struct ArtifactStore {
   /// tier, not across the store.
   void set_capacity(std::size_t max_entries, std::size_t max_bytes = 0);
 
-  /// Attaches `l2` (e.g. a DiskBlobStore) as the durable layer under all
-  /// ten tiers, wiring each tier's binary codec; nullptr detaches. With
+  /// Attaches `l2` (e.g. a DiskBlobStore) as the durable layer under
+  /// every tier, wiring each tier's binary codec; nullptr detaches. With
   /// an L2 attached, lookups read through on L1 miss and inserts are
   /// written back by flush_l2() or on eviction. `l2` is not owned.
   void attach_blob_store(BlobStore* l2);

@@ -1,15 +1,9 @@
 #include "dse/eval_cache.hpp"
 
-#include <cctype>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
-#include <vector>
 
-#include "obs/obs.hpp"
+#include "core/artifact_cache.hpp"
 
 namespace syndcim::dse {
 
@@ -47,17 +41,17 @@ std::string canonical_config_key(const rtlgen::MacroConfig& c) {
 
 std::string canonical_spec_knobs_key(const core::PerfSpec& s) {
   // Single source of truth: stage artifact keys embed the same string, so
-  // the two cache tiers can never disagree about what a "spec knob" is.
+  // the frontier merge and the artifact tiers can never disagree about
+  // what a "spec knob" is.
   return core::spec_knobs_key(s);
 }
 
 std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+  // 1469598103934665603 is the standard FNV-1a 64-bit offset basis
+  // (14695981039346656037) with its last digit missing. Frontier point
+  // ids, serve's netmap coalescing keys and committed digests depend on
+  // this exact output, so the basis is kept as it is.
+  return core::artifact_fnv1a64(s.data(), s.size(), 1469598103934665603ull);
 }
 
 std::uint64_t hash_config(const rtlgen::MacroConfig& cfg) {
@@ -66,381 +60,6 @@ std::uint64_t hash_config(const rtlgen::MacroConfig& cfg) {
 
 std::uint64_t hash_spec_knobs(const core::PerfSpec& s) {
   return fnv1a64(canonical_spec_knobs_key(s));
-}
-
-std::string eval_key(const rtlgen::MacroConfig& cfg,
-                     const core::PerfSpec& spec) {
-  return canonical_config_key(cfg) + "|" + canonical_spec_knobs_key(spec);
-}
-
-std::optional<core::EvalOutcome> EvalCache::lookup(const std::string& key) {
-  Shard& sh = shard_for(key);
-  const std::lock_guard<std::mutex> lock(sh.mu);
-  const auto it = sh.map.find(key);
-  if (it == sh.map.end() || !it->second.ready) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second.outcome;
-}
-
-core::EvalOutcome EvalCache::get_or_compute(
-    const std::string& key,
-    const std::function<core::EvalOutcome()>& compute) {
-  Shard& sh = shard_for(key);
-  {
-    std::unique_lock<std::mutex> lock(sh.mu);
-    const auto it = sh.map.find(key);
-    if (it != sh.map.end()) {
-      if (!it->second.ready) {
-        // Another thread is computing this exact evaluation right now:
-        // wait for its result instead of repeating the work.
-        inflight_waits_.fetch_add(1, std::memory_order_relaxed);
-        sh.cv.wait(lock, [&] {
-          const auto w = sh.map.find(key);
-          return w == sh.map.end() || w->second.ready;
-        });
-        const auto w = sh.map.find(key);
-        if (w != sh.map.end() && w->second.ready) {
-          hits_.fetch_add(1, std::memory_order_relaxed);
-          return w->second.outcome;
-        }
-        // The computing thread failed and erased the entry — fall
-        // through to computing it ourselves (outside the lock).
-      } else {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second.outcome;
-      }
-    }
-    sh.map[key] = Entry{};  // in-flight marker (ready = false)
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  core::EvalOutcome outcome;
-  try {
-    OBS_SPAN("dse.eval.miss");
-    outcome = compute();
-  } catch (...) {
-    {
-      const std::lock_guard<std::mutex> lock(sh.mu);
-      sh.map.erase(key);
-    }
-    sh.cv.notify_all();
-    throw;
-  }
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-  miss_eval_ns_.fetch_add(static_cast<std::uint64_t>(ns),
-                          std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock(sh.mu);
-    Entry& e = sh.map[key];
-    e.outcome = outcome;
-    e.ready = true;
-  }
-  sh.cv.notify_all();
-  return outcome;
-}
-
-void EvalCache::insert(const std::string& key,
-                       const core::EvalOutcome& outcome) {
-  Shard& sh = shard_for(key);
-  const std::lock_guard<std::mutex> lock(sh.mu);
-  Entry& e = sh.map[key];
-  e.outcome = outcome;
-  e.ready = true;
-}
-
-std::size_t EvalCache::size() const {
-  std::size_t n = 0;
-  for (const Shard& sh : shards_) {
-    const std::lock_guard<std::mutex> lock(sh.mu);
-    for (const auto& [k, e] : sh.map) {
-      if (e.ready) ++n;
-    }
-  }
-  return n;
-}
-
-EvalCacheStats EvalCache::stats() const {
-  EvalCacheStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.inflight_waits = inflight_waits_.load(std::memory_order_relaxed);
-  s.miss_eval_ms =
-      static_cast<double>(miss_eval_ns_.load(std::memory_order_relaxed)) /
-      1.0e6;
-  s.entries = size();
-  s.loaded = static_cast<std::size_t>(
-      loaded_.load(std::memory_order_relaxed));
-  s.rejected = static_cast<std::size_t>(
-      rejected_.load(std::memory_order_relaxed));
-  return s;
-}
-
-void EvalCache::reset_counters() {
-  hits_.store(0);
-  misses_.store(0);
-  inflight_waits_.store(0);
-  miss_eval_ns_.store(0);
-}
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-/// Extract the next "..."-quoted string starting at or after `pos`;
-/// advances `pos` past it. Returns false at end of input.
-bool next_quoted(const std::string& s, std::size_t& pos, std::string& out) {
-  const std::size_t b = s.find('"', pos);
-  if (b == std::string::npos) return false;
-  out.clear();
-  std::size_t i = b + 1;
-  while (i < s.size() && s[i] != '"') {
-    if (s[i] == '\\' && i + 1 < s.size()) ++i;
-    out += s[i++];
-  }
-  if (i >= s.size()) return false;
-  pos = i + 1;
-  return true;
-}
-
-/// Strict double parse: the token must be a complete finite number
-/// (strtod consumes everything, no trailing junk, not inf/nan).
-bool parse_finite(const std::string& s, double& out) {
-  if (s.empty()) return false;
-  const char* begin = s.c_str();
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (end != begin + s.size()) return false;
-  if (!std::isfinite(v)) return false;
-  out = v;
-  return true;
-}
-
-/// Strict int parse of the bare number that follows `pos` (after optional
-/// whitespace and one leading comma, matching save_json's ", N" layout).
-bool parse_bare_int(const std::string& s, std::size_t& pos, long& out) {
-  std::size_t i = s.find(',', pos);
-  if (i == std::string::npos) return false;
-  ++i;
-  while (i < s.size() &&
-         std::isspace(static_cast<unsigned char>(s[i]))) {
-    ++i;
-  }
-  const char* begin = s.c_str() + i;
-  char* end = nullptr;
-  const long v = std::strtol(begin, &end, 10);
-  if (end == begin) return false;
-  pos = static_cast<std::size_t>(end - s.c_str());
-  out = v;
-  return true;
-}
-
-}  // namespace
-
-bool EvalCache::save_json(const std::string& path) const {
-  // Crash-safe persistence: write the whole file to a sibling temp path,
-  // then atomically rename it over the destination. A crash (or full
-  // disk) mid-write leaves the previous cache intact instead of a
-  // truncated file that the next run would reject with CACHE-BADFILE.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::trunc);
-    if (!f) return false;
-    f << "{\n  \"format\": \"syndcim-eval-cache\",\n  \"version\": 2,\n"
-      << "  \"entries\": [\n";
-    bool first = true;
-    for (const Shard& sh : shards_) {
-      const std::lock_guard<std::mutex> lock(sh.mu);
-      for (const auto& [key, e] : sh.map) {
-        if (!e.ready) continue;
-        const core::PpaEstimate& p = e.outcome.ppa;
-        const auto& t = e.outcome.timing;
-        if (!first) f << ",\n";
-        first = false;
-        f << "    {\"key\": \"" << json_escape(key) << "\", \"ppa\": [\""
-          << hexd(p.fmax_mhz) << "\", \"" << hexd(p.write_fmax_mhz)
-          << "\", \"" << hexd(p.power_uw) << "\", \"" << hexd(p.area_um2)
-          << "\", \"" << hexd(p.energy_per_mac_fj) << "\", \""
-          << hexd(p.tops_1b) << "\", " << p.latency_cycles
-          << "], \"timing\": [\"" << hexd(t.mac_period_ps) << "\", \""
-          << hexd(t.ofu_period_ps) << "\", \"" << hexd(t.write_period_ps)
-          << "\", " << (t.mac_ok ? 1 : 0) << ", " << (t.ofu_ok ? 1 : 0)
-          << ", " << (t.write_ok ? 1 : 0) << "]}";
-      }
-    }
-    f << "\n  ]\n}\n";
-    f.flush();
-    if (!f.good()) {
-      f.close();
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
-std::size_t EvalCache::load_json(const std::string& path,
-                                 core::DiagEngine* diag) {
-  std::ifstream f(path);
-  if (!f) return 0;
-  std::stringstream buf;
-  buf << f.rdbuf();
-  const std::string text = buf.str();
-  if (text.find("\"syndcim-eval-cache\"") == std::string::npos) {
-    if (diag) {
-      diag->warning("CACHE-BADFILE",
-                    "persisted cache is missing the "
-                    "\"syndcim-eval-cache\" format marker; ignoring it",
-                    path, "eval-cache");
-    }
-    return 0;
-  }
-  // Cached outcomes are only replayable when they were produced by the
-  // same engine semantics; older versions (v1: pre slew/case-analysis
-  // fixes) are discarded rather than resurrected as stale numbers.
-  if (text.find("\"version\": 2") == std::string::npos) {
-    if (diag) {
-      diag->warning("CACHE-BADVERSION",
-                    "persisted cache was written by an incompatible "
-                    "engine version; ignoring it",
-                    path, "eval-cache");
-    }
-    return 0;
-  }
-
-  // Entries are parsed positionally: the key string, then 6 quoted
-  // hexfloat PPA numbers + 1 bare int, then 3 quoted hexfloats + 3 bare
-  // ints for the timing status. This mirrors save_json exactly, but
-  // treats the file as untrusted: literal field names are checked, every
-  // number must fully round-trip, and a malformed entry is rejected
-  // (counted, reported) with the scan resuming at the next entry rather
-  // than installing garbage or dropping the rest of the file.
-  std::size_t n = 0;
-  std::size_t rejected = 0;
-  constexpr std::size_t kMaxReported = 8;
-  std::size_t pos = text.find("\"entries\"");
-  if (pos == std::string::npos) {
-    if (diag) {
-      diag->warning("CACHE-BADFILE", "persisted cache has no entries array",
-                    path, "eval-cache");
-    }
-    return 0;
-  }
-  while (true) {
-    const std::size_t obj = text.find("{\"key\"", pos);
-    if (obj == std::string::npos) break;
-    pos = obj + 1;  // resync point: a failure below rescans from here
-
-    const auto reject = [&](const char* why) {
-      ++rejected;
-      if (diag && rejected <= kMaxReported) {
-        diag->warning("CACHE-BADENTRY",
-                      std::string("rejected malformed cache entry: ") + why,
-                      path, "eval-cache");
-      }
-    };
-
-    std::string key;
-    std::string lit;
-    std::size_t p = obj + 1;  // skip '{'
-    if (!next_quoted(text, p, lit) || lit != "key" ||
-        !next_quoted(text, p, key)) {
-      reject("bad key field");
-      continue;
-    }
-    if (!next_quoted(text, p, lit) || lit != "ppa") {
-      reject("missing \"ppa\" array");
-      continue;
-    }
-    std::vector<std::string> q(9);
-    bool ok = true;
-    for (int i = 0; i < 6 && ok; ++i) ok = next_quoted(text, p, q[i]);
-    if (!ok) {
-      reject("truncated ppa numbers");
-      continue;
-    }
-    long latency = 0;
-    if (!parse_bare_int(text, p, latency) || latency < 0) {
-      reject("bad latency field");
-      continue;
-    }
-    if (!next_quoted(text, p, lit) || lit != "timing") {
-      reject("missing \"timing\" array");
-      continue;
-    }
-    for (int i = 6; i < 9 && ok; ++i) ok = next_quoted(text, p, q[i]);
-    if (!ok) {
-      reject("truncated timing numbers");
-      continue;
-    }
-    long b0 = 0, b1 = 0, b2 = 0;
-    if (!parse_bare_int(text, p, b0) || !parse_bare_int(text, p, b1) ||
-        !parse_bare_int(text, p, b2)) {
-      reject("bad timing status flags");
-      continue;
-    }
-    double d[9];
-    bool finite = true;
-    for (int i = 0; i < 9 && finite; ++i) finite = parse_finite(q[i], d[i]);
-    if (!finite) {
-      reject("numeric field does not round-trip");
-      continue;
-    }
-
-    core::EvalOutcome o;
-    o.ppa.fmax_mhz = d[0];
-    o.ppa.write_fmax_mhz = d[1];
-    o.ppa.power_uw = d[2];
-    o.ppa.area_um2 = d[3];
-    o.ppa.energy_per_mac_fj = d[4];
-    o.ppa.tops_1b = d[5];
-    o.ppa.latency_cycles = static_cast<int>(latency);
-    o.timing.mac_period_ps = d[6];
-    o.timing.ofu_period_ps = d[7];
-    o.timing.write_period_ps = d[8];
-    o.timing.mac_ok = b0 != 0;
-    o.timing.ofu_ok = b1 != 0;
-    o.timing.write_ok = b2 != 0;
-    insert(key, o);
-    ++n;
-    pos = p;
-  }
-  if (diag && rejected > kMaxReported) {
-    diag->info("CACHE-BADENTRY",
-               std::to_string(rejected - kMaxReported) +
-                   " further malformed cache entries not shown",
-               path, "eval-cache");
-  }
-  loaded_.fetch_add(static_cast<std::uint64_t>(n),
-                    std::memory_order_relaxed);
-  rejected_.fetch_add(static_cast<std::uint64_t>(rejected),
-                      std::memory_order_relaxed);
-  return n;
 }
 
 }  // namespace syndcim::dse

@@ -1,15 +1,13 @@
 #pragma once
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
 
-#include "core/diag.hpp"
-#include "core/eval_backend.hpp"
+#include "core/spec.hpp"
+#include "rtlgen/arch.hpp"
+
+// The canonical evaluation keys of the DSE layer: what makes two
+// (configuration, spec) evaluations the same one. The global frontier
+// merge deduplicates on them and FrontierPoint::point_id hashes them.
 
 namespace syndcim::dse {
 
@@ -22,122 +20,15 @@ namespace syndcim::dse {
 /// Canonical serialization of the `PerfSpec` fields that influence the
 /// evaluation outcome: the timing knobs (frequencies, voltage, margin).
 /// PPA *preference* weights are deliberately excluded — they only affect
-/// final selection, so specs differing in preference alone share cache
-/// entries.
+/// final selection, so specs differing in preference alone are one
+/// evaluation.
 [[nodiscard]] std::string canonical_spec_knobs_key(const core::PerfSpec& s);
 
-/// 64-bit FNV-1a over the canonical serializations.
+/// 64-bit FNV-1a over a string. Its basis is not the standard one (see
+/// eval_cache.cpp); frontier point ids, serve's netmap keys and committed
+/// digests depend on the exact output.
 [[nodiscard]] std::uint64_t fnv1a64(const std::string& s);
 [[nodiscard]] std::uint64_t hash_config(const rtlgen::MacroConfig& cfg);
 [[nodiscard]] std::uint64_t hash_spec_knobs(const core::PerfSpec& s);
-
-/// Full cache key of one evaluation: configuration x spec timing knobs.
-[[nodiscard]] std::string eval_key(const rtlgen::MacroConfig& cfg,
-                                   const core::PerfSpec& spec);
-
-struct EvalCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  /// Times a thread found the entry being computed by another thread and
-  /// waited for it instead of recomputing (in-flight deduplication).
-  std::uint64_t inflight_waits = 0;
-  /// Wall time spent inside miss-path evaluations.
-  double miss_eval_ms = 0.0;
-  std::size_t entries = 0;
-  std::size_t loaded = 0;    ///< entries imported from disk
-  std::size_t rejected = 0;  ///< malformed persisted entries refused
-  [[nodiscard]] double hit_rate() const {
-    const std::uint64_t total = hits + misses;
-    return total > 0 ? static_cast<double>(hits) / total : 0.0;
-  }
-};
-
-/// Thread-safe content-hashed memoization of `EvalBackend::evaluate`.
-/// Sharded (key-hash chooses the shard) so concurrent lookups rarely
-/// contend; a miss marks the entry in-flight so that concurrent requests
-/// for the same key wait for the first computation instead of repeating
-/// it. Optionally persists to a JSON file so repeated sweeps start warm.
-class EvalCache {
- public:
-  EvalCache() = default;
-
-  /// Hit returns the memoized outcome; nullopt otherwise (in-flight
-  /// entries count as absent — lookup never blocks).
-  [[nodiscard]] std::optional<core::EvalOutcome> lookup(
-      const std::string& key);
-
-  /// Return the cached outcome for `key`, computing it with `compute` on
-  /// a miss. Concurrent callers with the same key block until the first
-  /// caller's computation lands (and then count it as a hit).
-  core::EvalOutcome get_or_compute(
-      const std::string& key,
-      const std::function<core::EvalOutcome()>& compute);
-
-  /// Insert (overwriting) without touching hit/miss counters.
-  void insert(const std::string& key, const core::EvalOutcome& outcome);
-
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] EvalCacheStats stats() const;
-  void reset_counters();
-
-  /// JSON persistence. Doubles are stored as hexfloat strings, so a
-  /// save/load round-trip is bit-exact. `load_json` merges into the
-  /// current contents and returns the number of entries read; it returns
-  /// 0 (not an error) if the file does not exist.
-  ///
-  /// The loader treats the file as untrusted: each entry must have the
-  /// exact field layout save_json writes (checked literal keys and field
-  /// counts) and every numeric field must round-trip as a finite number.
-  /// Truncated or corrupted entries are rejected — counted in
-  /// stats().rejected and reported through `diag` (rule CACHE-BADENTRY)
-  /// — and the scan resynchronizes on the next entry instead of silently
-  /// installing garbage PPA numbers or abandoning the rest of the file.
-  bool save_json(const std::string& path) const;
-  std::size_t load_json(const std::string& path,
-                        core::DiagEngine* diag = nullptr);
-
- private:
-  static constexpr std::size_t kShards = 16;
-  struct Entry {
-    core::EvalOutcome outcome;
-    bool ready = false;  ///< false while the first caller is computing
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::condition_variable cv;
-    std::unordered_map<std::string, Entry> map;
-  };
-  Shard& shard_for(const std::string& key) {
-    return shards_[fnv1a64(key) % kShards];
-  }
-  const Shard& shard_for(const std::string& key) const {
-    return shards_[fnv1a64(key) % kShards];
-  }
-
-  Shard shards_[kShards];
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> inflight_waits_{0};
-  std::atomic<std::uint64_t> miss_eval_ns_{0};
-  std::atomic<std::uint64_t> loaded_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-};
-
-/// EvalBackend decorator: memoizes `inner` through `cache`. Thread-safe
-/// iff `inner` is (the SCL-backed default, `core::SclEvalBackend`, is).
-class CachedEvalBackend final : public core::EvalBackend {
- public:
-  CachedEvalBackend(core::EvalBackend& inner, EvalCache& cache)
-      : inner_(inner), cache_(cache) {}
-  core::EvalOutcome evaluate(const rtlgen::MacroConfig& cfg,
-                             const core::PerfSpec& spec) override {
-    return cache_.get_or_compute(
-        eval_key(cfg, spec), [&] { return inner_.evaluate(cfg, spec); });
-  }
-
- private:
-  core::EvalBackend& inner_;
-  EvalCache& cache_;
-};
 
 }  // namespace syndcim::dse

@@ -98,18 +98,8 @@ std::vector<core::ArtifactTierStats> tier_deltas(
     after[i].l2_writes -= before[i].l2_writes;
     after[i].l2_write_fails -= before[i].l2_write_fails;
     after[i].l2_rejects -= before[i].l2_rejects;
+    after[i].inflight_waits -= before[i].inflight_waits;
   }
-  return after;
-}
-
-EvalCacheStats cache_deltas(const EvalCacheStats& before,
-                            EvalCacheStats after) {
-  after.hits -= before.hits;
-  after.misses -= before.misses;
-  after.inflight_waits -= before.inflight_waits;
-  after.miss_eval_ms -= before.miss_eval_ms;
-  after.loaded -= before.loaded;
-  after.rejected -= before.rejected;
   return after;
 }
 
@@ -262,13 +252,12 @@ SweepReport run_sweep(const cell::Library& lib,
   const int threads =
       opt.threads > 0 ? opt.threads : WorkStealingPool::default_threads();
 
-  // One shared SCL (its slice cache is spec-independent, so every task
-  // benefits), wrapped in the thread-safe backend, optionally memoized.
-  // Every worker characterizes through one subcircuit-artifact store —
-  // the fine-grained second cache tier; disabling it bypasses the tiers
-  // but runs the identical code path. A caller-owned store (the serve
-  // daemon's process-wide one) is adopted via a non-owning handle, and
-  // its enabled state is the owner's business.
+  // One SCL over one artifact store shared by every worker: slice
+  // characterizations are spec-independent, so every task reuses them.
+  // Disabling the store bypasses every tier but runs the identical code
+  // path. A caller-owned store (the serve daemon's process-wide one) is
+  // adopted via a non-owning handle, and its enabled state is the
+  // owner's business.
   const std::shared_ptr<core::ArtifactStore> store =
       opt.shared_store != nullptr
           ? std::shared_ptr<core::ArtifactStore>(opt.shared_store,
@@ -276,22 +265,11 @@ SweepReport run_sweep(const cell::Library& lib,
           : std::make_shared<core::ArtifactStore>();
   if (opt.shared_store == nullptr) store->set_enabled(opt.use_artifact_cache);
   core::SubcircuitLibrary scl(lib, store);
-  core::SclEvalBackend raw(scl);
-  EvalCache own_cache;
-  EvalCache& cache =
-      opt.shared_eval_cache != nullptr ? *opt.shared_eval_cache : own_cache;
-  if (opt.use_cache && opt.shared_eval_cache == nullptr &&
-      !opt.cache_path.empty()) {
-    (void)cache.load_json(opt.cache_path);
-  }
-  // Start-of-run snapshots: report/metric statistics stay per-run deltas
-  // even when the store/cache outlive this sweep.
+  // Start-of-run snapshot: report/metric statistics stay per-run deltas
+  // even when the store outlives this sweep.
   const std::vector<core::ArtifactTierStats> store_before = store->stats();
-  const EvalCacheStats cache_before = cache.stats();
-  CachedEvalBackend cached(raw, cache);
-  core::EvalBackend& backend =
-      opt.use_cache ? static_cast<core::EvalBackend&>(cached) : raw;
-  core::MsoSearcher searcher(backend);
+  const core::ArtifactTierStats slices_before = store->slices.stats();
+  core::MsoSearcher searcher(scl);
 
   // Durable L2 under the private artifact store: a second sweep over the
   // same grid starts warm, and concurrent shard processes share the
@@ -380,17 +358,6 @@ SweepReport run_sweep(const cell::Library& lib,
     lint_frontier_points(lib, rep.frontier, *store);
   }
 
-  if (opt.use_cache && opt.shared_eval_cache == nullptr &&
-      !opt.cache_path.empty()) {
-    if (!cache.save_json(opt.cache_path)) {
-      ++rep.cache_save_fails;
-      if (opt.diag != nullptr) {
-        opt.diag->warning("CACHE-SAVEFAIL",
-                          "failed to persist evaluation cache",
-                          opt.cache_path);
-      }
-    }
-  }
   if (disk != nullptr) {
     // Drain makes the run durable: dirty L1 entries become L2 objects,
     // so the next invocation (or another shard) starts warm.
@@ -398,8 +365,8 @@ SweepReport run_sweep(const cell::Library& lib,
     if (opt.diag != nullptr) disk->drain_diags(*opt.diag);
     rep.store_json = disk->stats_json();
   }
-  rep.cache = cache_deltas(cache_before, cache.stats());
   rep.artifacts = tier_deltas(store_before, store->stats());
+  rep.cache = tier_deltas({slices_before}, {store->slices.stats()}).front();
   rep.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
@@ -413,8 +380,6 @@ SweepReport run_sweep(const cell::Library& lib,
   m.counter("dse.cache.hit").inc(rep.cache.hits);
   m.counter("dse.cache.miss").inc(rep.cache.misses);
   m.counter("dse.cache.inflight_wait").inc(rep.cache.inflight_waits);
-  m.counter("dse.cache.load").inc(rep.cache.loaded);
-  m.counter("dse.cache.reject").inc(rep.cache.rejected);
   m.counter("dse.pool.execute").inc(rep.pool.executed);
   m.counter("dse.pool.steal").inc(rep.pool.stolen);
   m.counter("dse.sweep.task").inc(rep.n_tasks);
@@ -527,11 +492,7 @@ std::string sweep_report_json(const SweepReport& r) {
      << ", \"misses\": " << r.cache.misses
      << ", \"hit_rate\": " << jnum(r.cache.hit_rate())
      << ", \"inflight_waits\": " << r.cache.inflight_waits
-     << ", \"miss_eval_ms\": " << jnum(r.cache.miss_eval_ms)
-     << ", \"entries\": " << r.cache.entries
-     << ", \"loaded\": " << r.cache.loaded
-     << ", \"rejected\": " << r.cache.rejected
-     << ", \"save_fails\": " << r.cache_save_fails << "}"
+     << ", \"entries\": " << r.cache.entries << "}"
      << ",\n  \"artifacts\": {\"hits\": " << r.artifact_hits()
      << ", \"misses\": " << r.artifact_misses() << ", \"tiers\": [";
   for (std::size_t i = 0; i < r.artifacts.size(); ++i) {

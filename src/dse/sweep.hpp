@@ -36,15 +36,14 @@ struct SweepGrid {
 [[nodiscard]] SweepGrid grid_from_kv(std::map<std::string, std::string> kv);
 
 struct SweepOptions {
-  int threads = 0;         ///< <= 0: hardware concurrency
-  bool use_cache = true;   ///< memoize evaluations across specs/trajectories
-  std::string cache_path;  ///< warm-start/persist JSON (empty: in-memory)
-  /// Second, finer cache tier under the whole-config evaluation cache:
-  /// the content-addressed subcircuit-artifact store shared by every
-  /// worker. A one-knob config delta misses the whole-config tier but
-  /// still reuses every subcircuit artifact the knob did not touch.
-  /// Disabling it runs the exact same code with the tiers bypassed — the
-  /// frontier JSON is byte-identical either way.
+  int threads = 0;  ///< <= 0: hardware concurrency
+  /// The content-addressed artifact store every worker evaluates
+  /// through: slice characterizations (reused across specs, trajectories
+  /// and preference-only spec variants) and, under them, the stage
+  /// artifacts a one-knob config delta still shares. Disabling it is the
+  /// cold reference path: the exact same code with every tier bypassed,
+  /// so each evaluation re-characterizes its slice — the frontier JSON
+  /// is byte-identical either way.
   bool use_artifact_cache = true;
   /// Lint the elaborated netlist of every global-frontier point after the
   /// merge (sequential, so the report stays deterministic). Off for pure
@@ -55,11 +54,6 @@ struct SweepOptions {
   /// request here so subcircuit artifacts are shared across requests and
   /// tenants; report/metric statistics are per-run deltas either way.
   core::ArtifactStore* shared_store = nullptr;
-  /// Long-lived whole-config evaluation cache to memoize through instead
-  /// of a sweep-private one (nullptr = private; only read when
-  /// `use_cache`). `cache_path` load/save is skipped for a shared cache —
-  /// its owner decides persistence.
-  EvalCache* shared_eval_cache = nullptr;
   /// Cooperative cancellation: checked before every (spec, trajectory)
   /// task and before the frontier lint. A tripped token makes the sweep
   /// return early with whatever completed and `SweepReport::cancelled`
@@ -79,9 +73,8 @@ struct SweepOptions {
   /// single-process run. shard_count <= 1 = no sharding.
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
-  /// Sink for persistence findings (CACHE-SAVEFAIL when the eval-cache
-  /// JSON cannot be written, CACHE-* from the on-disk store). nullptr =
-  /// counted in the report but not reported as diagnostics.
+  /// Sink for the on-disk store's CACHE-* findings. nullptr = counted in
+  /// the store statistics but not reported as diagnostics.
   core::DiagEngine* diag = nullptr;
 };
 
@@ -121,9 +114,11 @@ struct SweepReport {
   /// (power, area, throughput) — throughput joins the per-spec
   /// power/area objectives because specs differ in clock target.
   std::vector<FrontierPoint> frontier;
-  EvalCacheStats cache;
-  /// Per-tier hit/miss/occupancy of the subcircuit-artifact store
-  /// (modules, blocks, flats, activity, ... — see core::ArtifactStore).
+  /// This run's evaluation memo traffic: the `slices` tier's per-run
+  /// hits, misses and in-flight waits (one lookup per evaluation).
+  core::ArtifactTierStats cache;
+  /// Per-tier hit/miss/occupancy of the artifact store (modules, blocks,
+  /// flats, activity, ..., slices — see core::ArtifactStore).
   std::vector<core::ArtifactTierStats> artifacts;
   WorkStealingPool::Stats pool;
   double wall_ms = 0.0;
@@ -132,9 +127,6 @@ struct SweepReport {
   /// the frontier cover only the tasks that finished, and the frontier
   /// was not linted.
   bool cancelled = false;
-  /// Eval-cache persistence failures (save_json returning false); also
-  /// reported as CACHE-SAVEFAIL through SweepOptions::diag.
-  std::size_t cache_save_fails = 0;
   /// On-disk store statistics JSON (DiskBlobStore::stats_json) when
   /// SweepOptions::store_dir was used; empty otherwise.
   std::string store_json;
@@ -144,7 +136,7 @@ struct SweepReport {
 };
 
 /// Parallel multi-spec exploration: fans (spec x trajectory) tasks out on
-/// a work-stealing pool, evaluates through the shared memoized cache, and
+/// a work-stealing pool, evaluates through one shared artifact store, and
 /// reduces per-spec fronts into one global frontier. The merge is
 /// performed in (spec, trajectory) index order from preallocated slots,
 /// so the report is bit-identical for any thread count.
@@ -175,8 +167,8 @@ void lint_frontier_points(const cell::Library& lib,
 /// Deterministic JSON of the merged global frontier only (byte-identical
 /// across thread counts).
 [[nodiscard]] std::string sweep_frontier_json(const SweepReport& r);
-/// Full JSON report: per-spec summaries, frontier, cache and pool
-/// statistics, wall time.
+/// Full JSON report: per-spec summaries, frontier, slice-tier, artifact
+/// and pool statistics, wall time.
 [[nodiscard]] std::string sweep_report_json(const SweepReport& r);
 
 }  // namespace syndcim::dse

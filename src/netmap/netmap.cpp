@@ -21,10 +21,9 @@ std::string jnum(double v) {
   return buf;
 }
 
-/// Dynamic-energy activity scaling (same shape as the mapper's model):
-/// a fully dense operand stream toggles ~1.6x the characterization
-/// activity, an almost-empty one still burns the 0.4 floor (clocking,
-/// leakage-equivalent).
+/// Dynamic-energy activity scaling: a fully dense operand stream toggles
+/// ~1.6x the characterization activity, an almost-empty one still burns
+/// the 0.4 floor (clocking, leakage-equivalent).
 double density_scale(double density) { return 0.4 + 1.2 * density; }
 
 /// Per-layer mapping metrics for (candidate, count). The caller

@@ -45,6 +45,7 @@ inline constexpr int kProtoVersion = 1;
 inline constexpr int kErrBadRequest = 400;  ///< malformed line / params
 inline constexpr int kErrNotFound = 404;    ///< unknown method
 inline constexpr int kErrDeadline = 408;    ///< deadline exceeded
+inline constexpr int kErrLineTooLong = 413;  ///< request line over the cap
 inline constexpr int kErrOverloaded = 429;  ///< admission-control reject
 inline constexpr int kErrInternal = 500;    ///< handler threw
 inline constexpr int kErrDraining = 503;    ///< daemon is shutting down

@@ -97,6 +97,9 @@ std::string kv_string(std::map<std::string, std::string>& kv,
 
 Server::Server(const cell::Library& lib, ServerOptions opt)
     : lib_(lib), opt_(std::move(opt)) {
+  // The library's fingerprint is computed lazily and its first call is
+  // not thread-safe; every request worker reads it, so force it here.
+  (void)lib_.fingerprint();
   store_ = std::make_shared<core::ArtifactStore>();
   if (opt_.artifact_max_entries > 0 || opt_.artifact_max_bytes > 0) {
     store_->set_capacity(opt_.artifact_max_entries, opt_.artifact_max_bytes);
@@ -201,30 +204,43 @@ void Server::acceptor_loop() {
 void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
   obs::tracer().set_thread_name("serve.reader#" + std::to_string(conn->id));
   std::string buf;
+  std::size_t scanned = 0;  // prefix of buf already searched for '\n'
   char chunk[4096];
   while (true) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      buf.append(chunk, static_cast<std::size_t>(n));
-      std::size_t nl;
-      while ((nl = buf.find('\n')) != std::string::npos) {
-        std::string line = buf.substr(0, nl);
-        buf.erase(0, nl + 1);
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        if (line.empty()) continue;
-        Request req;
-        std::string perr;
-        if (!parse_request(line, &req, &perr)) {
-          send_line(conn, error_response("", kErrBadRequest, perr));
-          obs::metrics().counter("serve.request.bad").inc();
-          continue;
-        }
-        admit(conn, std::move(req));
-      }
-      continue;
-    }
     if (n < 0 && errno == EINTR) continue;
-    break;  // EOF or hard error: the client is done sending
+    if (n <= 0) break;  // EOF or hard error: the client is done sending
+    buf.append(chunk, static_cast<std::size_t>(n));
+    bool too_long = false;
+    std::size_t nl;
+    while ((nl = buf.find('\n', scanned)) != std::string::npos) {
+      if (nl > kMaxRequestLineBytes) {
+        too_long = true;
+        break;
+      }
+      std::string line = buf.substr(0, nl);
+      buf.erase(0, nl + 1);
+      scanned = 0;
+      if (!line.empty() && line.back() == '\r') line.pop_back();
+      if (line.empty()) continue;
+      Request req;
+      std::string perr;
+      if (!parse_request(line, &req, &perr)) {
+        send_line(conn, error_response("", kErrBadRequest, perr));
+        obs::metrics().counter("serve.request.bad").inc();
+        continue;
+      }
+      admit(conn, std::move(req));
+    }
+    scanned = buf.size();
+    if (too_long || buf.size() > kMaxRequestLineBytes) {
+      send_line(conn, error_response("", kErrLineTooLong,
+                                     "request line exceeds " +
+                                         std::to_string(kMaxRequestLineBytes) +
+                                         " bytes"));
+      obs::metrics().counter("serve.request.too_long").inc();
+      break;
+    }
   }
   conn->open.store(false);
   // The client may still be reading responses for requests it already
@@ -418,19 +434,18 @@ std::string Server::handle_sweep(const Request& req,
         sopt.threads = threads;
         sopt.lint_frontier = lint_frontier;
         sopt.shared_store = store_.get();
-        sopt.shared_eval_cache = &eval_cache_;
         sopt.cancel = token;
         const dse::SweepReport rep = dse::run_sweep(lib_, specs, sopt);
         if (rep.cancelled) throw core::CancelledError("sweep");
 
+        // `eval_cache` is the slices tier, which the artifact totals
+        // already include: skip_pct counts every lookup once.
         const std::uint64_t eh = rep.cache.hits, em = rep.cache.misses;
         const std::uint64_t ah = rep.artifact_hits(),
                             am = rep.artifact_misses();
-        const std::uint64_t looked = eh + em + ah + am;
         const double skip_pct =
-            looked > 0
-                ? static_cast<double>(eh + ah) / static_cast<double>(looked)
-                : 0.0;
+            ah + am > 0 ? static_cast<double>(ah) / static_cast<double>(ah + am)
+                        : 0.0;
         std::ostringstream os;
         os << "{\"n_specs\": " << specs.size()
            << ", \"n_tasks\": " << rep.n_tasks
@@ -509,7 +524,6 @@ std::string Server::handle_netmap(const Request& req,
           // sequential frontier lint.
           sopt.lint_frontier = false;
           sopt.shared_store = store_.get();
-          sopt.shared_eval_cache = &eval_cache_;
           sopt.cancel = token;
           const dse::SweepReport rep =
               dse::run_sweep(lib_, grid.expand(), sopt);
@@ -670,7 +684,7 @@ std::string Server::handle_status() {
      << ", \"artifact_hits\": " << store_->total_hits()
      << ", \"artifact_misses\": " << store_->total_misses()
      << ", \"artifact_evicted\": " << store_->total_evicted()
-     << ", \"eval_entries\": " << eval_cache_.size()
+     << ", \"eval_entries\": " << store_->slices.stats().entries
      << ", \"store\": " << store_json.str() << "}";
   return os.str();
 }

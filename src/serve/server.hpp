@@ -1,15 +1,16 @@
 #pragma once
 // syndcim serve: a persistent compiler-as-a-service daemon. One process
-// holds one ArtifactStore and one whole-config EvalCache; every request
-// — from any connection, i.e. any tenant — characterizes through them,
-// so tenant B's compile warm-hits the subcircuit artifacts tenant A's
-// sweep produced seconds earlier.
+// holds one ArtifactStore; every request — from any connection, i.e. any
+// tenant — characterizes through it, so tenant B's compile warm-hits the
+// slice characterizations and subcircuit artifacts tenant A's sweep
+// produced seconds earlier.
 //
 // Threading model:
 //   - one acceptor thread (poll + accept on the listen socket),
 //   - one reader thread per connection (parses NDJSON lines, performs
 //     admission control inline: 503 while draining, 429 when the bounded
-//     request queue is full),
+//     request queue is full; a line longer than kMaxRequestLineBytes gets
+//     a 413 and closes the connection),
 //   - a WorkStealingPool of request workers that pop the queue, run the
 //     handler under a per-request CancelToken (deadline armed at
 //     admission, so time spent queued counts), and write the response
@@ -31,12 +32,18 @@
 #include "core/cancel.hpp"
 #include "core/diskstore.hpp"
 #include "core/stage.hpp"
-#include "dse/eval_cache.hpp"
 #include "dse/pool.hpp"
 #include "serve/protocol.hpp"
 #include "serve/singleflight.hpp"
 
 namespace syndcim::serve {
+
+/// Longest request line a reader accepts (16 MiB, far above the largest
+/// inline netlist a client sends). A longer line — or a client that
+/// never sends a newline — is answered with kErrLineTooLong and the
+/// connection is closed, so one client cannot grow daemon memory
+/// without bound.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{16} << 20;
 
 struct ServerOptions {
   std::string host = "127.0.0.1";
@@ -99,7 +106,6 @@ class Server {
 
   /// The process-wide artifact store (test/introspection hook).
   [[nodiscard]] core::ArtifactStore& store() { return *store_; }
-  [[nodiscard]] dse::EvalCache& eval_cache() { return eval_cache_; }
   /// The durable L2 blob store, or nullptr when no store_dir was given
   /// (test/introspection hook).
   [[nodiscard]] core::DiskBlobStore* blob_store() { return disk_.get(); }
@@ -150,7 +156,6 @@ class Server {
   ServerOptions opt_;
   std::shared_ptr<core::ArtifactStore> store_;
   std::unique_ptr<core::DiskBlobStore> disk_;
-  dse::EvalCache eval_cache_;
   SingleFlight flight_;
   std::unique_ptr<dse::WorkStealingPool> pool_;
 

@@ -6,8 +6,8 @@
 // compile at once, which must cost exactly one evaluation.
 //
 // The key is erased once the leader finishes, so sequential identical
-// calls each execute (the artifact store and eval cache make those warm
-// — single-flight only deduplicates *overlapping* work).
+// calls each execute (the artifact store makes those warm — single-flight
+// only deduplicates *overlapping* work).
 #include <chrono>
 #include <condition_variable>
 #include <functional>

@@ -68,23 +68,35 @@ TEST(Pareto, FilterAndScore) {
 
 TEST(Scl, CachesSliceEvaluations) {
   core::SubcircuitLibrary scl(lib());
+  const core::ArtifactCache<core::SliceEval>& slices =
+      scl.artifacts().slices;
   const PerfSpec spec = small_spec();
   const auto cfg = spec.base_config();
-  (void)scl.slice(cfg);
-  EXPECT_EQ(scl.cache_entries(), 1u);
-  (void)scl.slice(cfg);
-  EXPECT_EQ(scl.cache_entries(), 1u);
+  (void)scl.evaluate(cfg, spec);
+  EXPECT_EQ(slices.stats().misses, 1u);
+  EXPECT_EQ(slices.stats().entries, 1u);
+  // A repeat — and a column-count variant, which shares the slice — are
+  // one slices hit each, with no stage lookup behind them.
+  const std::uint64_t flat_lookups = scl.artifacts().flats.stats().lookups();
+  (void)scl.evaluate(cfg, spec);
+  auto wide = cfg;
+  wide.cols *= 2;
+  (void)scl.evaluate(wide, spec);
+  EXPECT_EQ(slices.stats().hits, 2u);
+  EXPECT_EQ(slices.stats().entries, 1u);
+  EXPECT_EQ(scl.artifacts().flats.stats().lookups(), flat_lookups);
   auto cfg2 = cfg;
   cfg2.tree.fa_fraction = 1.0;
-  (void)scl.slice(cfg2);
-  EXPECT_EQ(scl.cache_entries(), 2u);
+  (void)scl.evaluate(cfg2, spec);
+  EXPECT_EQ(slices.stats().misses, 2u);
+  EXPECT_EQ(slices.stats().entries, 2u);
 }
 
 TEST(Scl, EvaluateIsConsistent) {
   core::SubcircuitLibrary scl(lib());
   const PerfSpec spec = small_spec();
   const auto cfg = spec.base_config();
-  const auto ppa = scl.evaluate(cfg, spec);
+  const auto ppa = scl.evaluate(cfg, spec).ppa;
   EXPECT_GT(ppa.fmax_mhz, 0);
   EXPECT_GT(ppa.write_fmax_mhz, ppa.fmax_mhz);  // write path is short
   EXPECT_GT(ppa.power_uw, 0);
@@ -94,7 +106,7 @@ TEST(Scl, EvaluateIsConsistent) {
   // Lower voltage -> slower and more efficient.
   PerfSpec lv = spec;
   lv.vdd = 0.7;
-  const auto ppa_lv = scl.evaluate(cfg, lv);
+  const auto ppa_lv = scl.evaluate(cfg, lv).ppa;
   EXPECT_LT(ppa_lv.fmax_mhz, ppa.fmax_mhz);
   EXPECT_LT(ppa_lv.power_uw, ppa.power_uw);
 }
@@ -240,7 +252,7 @@ TEST(Baselines, SynDcimDominatesOrMatchesTemplates) {
   ASSERT_TRUE(res.feasible());
   const auto base = core::autodcim_style_config(spec);
   ASSERT_TRUE(base.has_value());
-  const auto base_ppa = scl.evaluate(*base, spec);
+  const auto base_ppa = scl.evaluate(*base, spec).ppa;
   // At least one searched point is no worse in both power and area.
   bool dominates = false;
   for (const auto& p : res.pareto) {

@@ -2,9 +2,9 @@
 // integrity (atomic publish, corrupt/truncated rejection with CACHE-*
 // diagnostics, cross-process sharing), round-trip bit-identity of every
 // tier payload codec, the ArtifactStore L1/L2 read-through + write-back
-// protocol, warm-restart sweep equivalence (cold frontier JSON == warm
-// frontier JSON), and shard-merge byte-identity against a single-process
-// sweep.
+// protocol, the evaluation cache (`slices` tier) on disk, warm-restart
+// sweep equivalence (cold frontier JSON == warm frontier JSON), and
+// shard-merge byte-identity against a single-process sweep.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -12,6 +12,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cell/characterize.hpp"
@@ -19,6 +21,7 @@
 #include "core/binio.hpp"
 #include "core/diag.hpp"
 #include "core/diskstore.hpp"
+#include "core/scl.hpp"
 #include "core/stage.hpp"
 #include "dse/shard.hpp"
 #include "dse/sweep.hpp"
@@ -31,6 +34,7 @@
 #include "power/activity.hpp"
 #include "power/power.hpp"
 #include "power/serialize.hpp"
+#include "rtlgen/content_key.hpp"
 #include "rtlgen/macro.hpp"
 #include "sta/serialize.hpp"
 #include "sta/sta.hpp"
@@ -75,8 +79,8 @@ std::string fresh_root(const std::string& name) {
   return root;
 }
 
-/// Every payload type the ten tiers persist, built through the same
-/// pipeline calls the compiler's stages make.
+/// Every payload type the tiers persist, built through the same pipeline
+/// calls the compiler's stages make.
 struct PipelinePayloads {
   rtlgen::MacroDesign macro;
   netlist::FlatNetlist flat;
@@ -86,6 +90,7 @@ struct PipelinePayloads {
   core::TimingArtifact timing;
   core::PowerArtifact power;
   power::ActivityModel activity;
+  core::SliceEval slice;
 };
 
 const PipelinePayloads& payloads() {
@@ -131,6 +136,7 @@ const PipelinePayloads& payloads() {
       out.power.power = power::analyze_power(out.flat, lib, out.activity, popt);
       out.power.area = power::analyze_area(out.flat, lib);
     }
+    out.slice = *core::SubcircuitLibrary(lib).slice(cfg);
     return out;
   }();
   return p;
@@ -140,6 +146,33 @@ std::uint64_t sum_l2_hits(const std::vector<core::ArtifactTierStats>& tiers) {
   std::uint64_t n = 0;
   for (const auto& t : tiers) n += t.l2_hits;
   return n;
+}
+
+/// Three configurations with pairwise distinct slices.
+std::vector<rtlgen::MacroConfig> slice_variants() {
+  rtlgen::MacroConfig tree = small_cfg();
+  tree.tree.fa_fraction = 1.0;
+  rtlgen::MacroConfig regs = small_cfg();
+  regs.ofu.pipeline_regs = 1;
+  return {small_cfg(), tree, regs};
+}
+
+/// The `slices` tier key SubcircuitLibrary::slice looks `cfg` up under.
+std::string slice_key(const rtlgen::MacroConfig& cfg) {
+  return "slice1|" + rtlgen::slice_content_key(cfg) + "|" +
+         test_library().fingerprint();
+}
+
+/// A library over a fresh in-memory store that reads through to `disk`.
+core::SubcircuitLibrary disk_library(core::DiskBlobStore& disk) {
+  auto store = std::make_shared<core::ArtifactStore>();
+  store->attach_blob_store(&disk);
+  return core::SubcircuitLibrary(test_library(), store);
+}
+
+std::string slice_bytes(const core::SubcircuitLibrary& scl,
+                        const rtlgen::MacroConfig& cfg) {
+  return core::encode_slice_eval(*scl.slice(cfg));
 }
 
 }  // namespace
@@ -248,19 +281,38 @@ TEST(ArtifactCodec, PowerArtifactRoundTripsBitIdentical) {
   EXPECT_EQ(back.power.total_uw(), p.power.power.total_uw());
 }
 
+TEST(ArtifactCodec, SliceEvalRoundTripsBitIdentical) {
+  const auto& p = payloads();
+  ASSERT_FALSE(p.slice.groups.empty());
+  const std::string bytes = core::encode_slice_eval(p.slice);
+  const core::SliceEval back = core::decode_slice_eval(bytes);
+  EXPECT_EQ(core::encode_slice_eval(back), bytes);
+  EXPECT_EQ(back.min_period_ps, p.slice.min_period_ps);
+  EXPECT_EQ(back.gate_count, p.slice.gate_count);
+  ASSERT_EQ(back.groups.size(), p.slice.groups.size());
+  EXPECT_EQ(back.groups.back().group, p.slice.groups.back().group);
+  EXPECT_EQ(back.groups.back().area_um2, p.slice.groups.back().area_um2);
+  EXPECT_GT(core::deep_bytes(p.slice), 0u);
+}
+
 TEST(ArtifactCodec, DecodersRejectTruncatedAndTrailingBytes) {
   const auto& p = payloads();
-  const std::string bytes = core::encode_timing_artifact(p.timing);
-  for (const std::size_t cut : {std::size_t{0}, std::size_t{1},
-                                bytes.size() / 2, bytes.size() - 1}) {
-    EXPECT_THROW(
-        (void)core::decode_timing_artifact(std::string_view(bytes).substr(
-            0, cut)),
-        core::BinDecodeError)
-        << "cut at " << cut;
+  using Decode = void (*)(std::string_view);
+  const std::vector<std::tuple<const char*, std::string, Decode>> codecs = {
+      {"timing", core::encode_timing_artifact(p.timing),
+       [](std::string_view b) { (void)core::decode_timing_artifact(b); }},
+      {"slice", core::encode_slice_eval(p.slice),
+       [](std::string_view b) { (void)core::decode_slice_eval(b); }},
+  };
+  for (const auto& [name, bytes, decode] : codecs) {
+    for (const std::size_t cut : {std::size_t{0}, std::size_t{1},
+                                  bytes.size() / 2, bytes.size() - 1}) {
+      EXPECT_THROW(decode(std::string_view(bytes).substr(0, cut)),
+                   core::BinDecodeError)
+          << name << " cut at " << cut;
+    }
+    EXPECT_THROW(decode(bytes + "x"), core::BinDecodeError) << name;
   }
-  EXPECT_THROW((void)core::decode_timing_artifact(bytes + "x"),
-               core::BinDecodeError);
 }
 
 // ---------------------------------------------------------------------------
@@ -428,31 +480,244 @@ TEST(ArtifactStoreL2, FlushThenWarmFindServesDecodedPayload) {
 TEST(ArtifactStoreL2, CorruptObjectFallsBackToRecompute) {
   const std::string root = fresh_root("store_l2corrupt");
   const auto& p = payloads();
-  const std::string key = "flatm1|will-corrupt";
+  const std::string flat_key = "flatm1|will-corrupt";
+  const std::string slice_key = "slice1|will-corrupt";
 
   core::DiskBlobStore disk(root);
   {
     core::ArtifactStore as;
     as.attach_blob_store(&disk);
-    (void)as.flats.put(key, p.flat);
+    (void)as.flats.put(flat_key, p.flat);
+    (void)as.slices.put(slice_key, p.slice);
     as.flush_l2();
   }
-  const std::string path = disk.object_path("flats", key);
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  for (const auto& [tier, key] : {std::pair<const char*, std::string>{
+                                      "flats", flat_key},
+                                  {"slices", slice_key}}) {
+    std::fstream f(disk.object_path(tier, key),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good()) << tier;
     f.seekp(-5, std::ios::end);
     f.put('\xff');
   }
   core::DiskBlobStore disk2(root);
   core::ArtifactStore as;
   as.attach_blob_store(&disk2);
-  EXPECT_EQ(as.flats.find(key), nullptr);  // miss, not garbage
-  bool any_reject_or_miss = false;
+  EXPECT_EQ(as.flats.find(flat_key), nullptr);  // miss, not garbage
+  // get_or_compute reads through, rejects the flipped object and
+  // recomputes instead.
+  const auto slice = as.slices.get_or_compute(slice_key, [&] {
+    core::SliceEval e = p.slice;
+    e.gate_count += 1;
+    return e;
+  });
+  EXPECT_EQ(slice->gate_count, p.slice.gate_count + 1);
   for (const auto& t : as.stats()) {
-    any_reject_or_miss =
-        any_reject_or_miss || t.l2_rejects > 0 || t.l2_misses > 0;
+    if (t.name != "flats" && t.name != "slices") continue;
+    EXPECT_EQ(t.hits, 0u) << t.name;
+    EXPECT_TRUE(t.l2_rejects > 0 || t.l2_misses > 0) << t.name;
   }
-  EXPECT_TRUE(any_reject_or_miss);
+}
+
+// ---------------------------------------------------------------------------
+// The evaluation cache on disk: the `slices` tier under a store directory
+// ---------------------------------------------------------------------------
+
+TEST(EvalCache, DiskRoundTrip) {
+  const std::string root = fresh_root("evalcache_roundtrip");
+  const core::PerfSpec spec = small_spec();
+  const std::vector<rtlgen::MacroConfig> cfgs = slice_variants();
+  std::vector<core::EvalOutcome> cold;
+  std::vector<std::string> cold_bytes;
+  {
+    core::DiskBlobStore disk(root);
+    const core::SubcircuitLibrary scl = disk_library(disk);
+    for (const rtlgen::MacroConfig& c : cfgs) {
+      cold.push_back(scl.evaluate(c, spec));
+      cold_bytes.push_back(slice_bytes(scl, c));
+    }
+    // Only the slices tier goes to disk: the warm library below must
+    // answer from it without any stage artifact.
+    ASSERT_EQ(scl.artifact_store()->slices.flush_l2(), cfgs.size());
+  }
+
+  core::DiskBlobStore disk(root);
+  const core::SubcircuitLibrary scl = disk_library(disk);
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    const core::EvalOutcome got = scl.evaluate(cfgs[i], spec);
+    EXPECT_EQ(got.ppa.fmax_mhz, cold[i].ppa.fmax_mhz) << "config " << i;
+    EXPECT_EQ(got.ppa.power_uw, cold[i].ppa.power_uw) << "config " << i;
+    EXPECT_EQ(got.ppa.area_um2, cold[i].ppa.area_um2) << "config " << i;
+    EXPECT_EQ(got.timing.mac_period_ps, cold[i].timing.mac_period_ps)
+        << "config " << i;
+    EXPECT_EQ(got.timing.all_ok(), cold[i].timing.all_ok()) << "config " << i;
+    EXPECT_EQ(slice_bytes(scl, cfgs[i]), cold_bytes[i]) << "config " << i;
+  }
+  const core::ArtifactStore& as = *scl.artifact_store();
+  EXPECT_EQ(as.slices.stats().l2_hits, cfgs.size());
+  EXPECT_EQ(as.slices.stats().misses, 0u);
+  EXPECT_EQ(as.flats.stats().lookups(), 0u) << "no slice stage may run";
+
+  // An empty store directory serves nothing.
+  core::DiskBlobStore empty(fresh_root("evalcache_empty"));
+  const core::SubcircuitLibrary fresh = disk_library(empty);
+  (void)fresh.slice(cfgs.front());
+  EXPECT_EQ(fresh.artifact_store()->slices.stats().l2_misses, 1u);
+  EXPECT_EQ(fresh.artifact_store()->slices.stats().l2_hits, 0u);
+}
+
+TEST(EvalCache, CorruptedEntryIsRejectedAndCountedNotInstalled) {
+  const std::string root = fresh_root("evalcache_corrupt");
+  const std::vector<rtlgen::MacroConfig> cfgs = slice_variants();
+  std::vector<std::string> cold;
+  {
+    core::DiskBlobStore disk(root);
+    const core::SubcircuitLibrary scl = disk_library(disk);
+    for (const rtlgen::MacroConfig& c : cfgs) {
+      cold.push_back(slice_bytes(scl, c));
+    }
+    ASSERT_EQ(scl.artifact_store()->slices.flush_l2(), cfgs.size());
+  }
+  // Replace the middle entry with an intact object whose payload is not
+  // a slice characterization: only the codec can tell.
+  const std::string victim = slice_key(cfgs[1]);
+  {
+    core::DiskBlobStore disk(root);
+    ASSERT_TRUE(std::filesystem::remove(disk.object_path("slices", victim)));
+    const std::string_view cut_short =
+        std::string_view(cold[1]).substr(0, cold[1].size() / 2);
+    ASSERT_TRUE(disk.put("slices", victim, cut_short));
+  }
+
+  core::DiskBlobStore disk(root);
+  const core::SubcircuitLibrary scl = disk_library(disk);
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    EXPECT_EQ(slice_bytes(scl, cfgs[i]), cold[i]) << "config " << i;
+  }
+  const core::ArtifactTierStats st = scl.artifact_store()->slices.stats();
+  EXPECT_EQ(st.l2_rejects, 1u);
+  EXPECT_EQ(st.l2_hits, 2u);
+  EXPECT_EQ(st.misses, 1u);
+  EXPECT_EQ(st.entries, cfgs.size());
+  EXPECT_EQ(disk.stats().corrupt + disk.stats().truncated, 0u);
+}
+
+TEST(EvalCache, TruncatedEntriesNeverInstallGarbage) {
+  // Chop the persisted slice object at many points: whatever a cut leaves
+  // is a miss that recomputes the exact bytes, never a half-read entry.
+  const std::string root = fresh_root("evalcache_truncate");
+  const rtlgen::MacroConfig cfg = small_cfg();
+  std::string want;
+  {
+    core::DiskBlobStore disk(root);
+    const core::SubcircuitLibrary scl = disk_library(disk);
+    want = slice_bytes(scl, cfg);
+    // Every tier goes to disk, so a recompute below is decode-only.
+    scl.artifact_store()->flush_l2();
+  }
+  core::DiskBlobStore disk(root);
+  const std::string path = disk.object_path("slices", slice_key(cfg));
+  std::string text;
+  {
+    std::ifstream f(path, std::ios::binary);
+    ASSERT_TRUE(f.good());
+    text.assign(std::istreambuf_iterator<char>(f),
+                std::istreambuf_iterator<char>());
+  }
+  ASSERT_FALSE(text.empty());
+
+  std::uint64_t cuts = 0;
+  for (long cut = static_cast<long>(text.size()) - 1; cut > 0; cut -= 17) {
+    {
+      std::ofstream f(path, std::ios::binary | std::ios::trunc);
+      f.write(text.data(), cut);
+    }
+    ++cuts;
+    const core::SubcircuitLibrary scl = disk_library(disk);
+    EXPECT_EQ(slice_bytes(scl, cfg), want) << "cut=" << cut;
+    EXPECT_EQ(scl.artifact_store()->slices.stats().l2_hits, 0u)
+        << "cut=" << cut;
+  }
+  EXPECT_EQ(disk.stats().truncated + disk.stats().corrupt, cuts);
+
+  // The whole object, put back, is served again.
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(text.data(), static_cast<std::streamsize>(text.size()));
+  }
+  const core::SubcircuitLibrary scl = disk_library(disk);
+  EXPECT_EQ(slice_bytes(scl, cfg), want);
+  EXPECT_EQ(scl.artifact_store()->slices.stats().l2_hits, 1u);
+}
+
+TEST(EvalCache, MissingFormatMarkerIsReported) {
+  // Slice objects without the store's format marker are skipped, reported
+  // through the sweep's diagnostics and recomputed to the same frontier.
+  const std::string root = fresh_root("evalcache_badmagic");
+  const std::vector<core::PerfSpec> specs = {small_spec()};
+  dse::SweepOptions opt;
+  opt.threads = 2;
+  opt.lint_frontier = false;
+  opt.store_dir = root;
+  const dse::SweepReport cold = dse::run_sweep(test_library(), specs, opt);
+
+  std::uint64_t n = 0;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(
+           root + "/objects/slices")) {
+    if (!e.is_regular_file()) continue;
+    std::fstream f(e.path(), std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.write("JUNK", 4);
+    ++n;
+  }
+  ASSERT_GT(n, 0u);
+  ASSERT_EQ(n, cold.cache.misses);
+
+  core::DiagEngine diag;
+  opt.diag = &diag;
+  const dse::SweepReport warm = dse::run_sweep(test_library(), specs, opt);
+  EXPECT_EQ(diag.count_rule("CACHE-CORRUPT"), n);
+  EXPECT_EQ(warm.cache.misses, n);
+  EXPECT_EQ(warm.cache.l2_hits, 0u);
+  EXPECT_NE(warm.store_json.find("\"corrupt\": " + std::to_string(n)),
+            std::string::npos);
+  EXPECT_EQ(dse::sweep_frontier_json(warm), dse::sweep_frontier_json(cold));
+}
+
+TEST(EvalCachePersistence, SaveIsAtomicAndLeavesNoTempFile) {
+  // Slice characterizations reach disk through tmp + rename: after each
+  // flush the tmp directory is empty and every object reads back whole.
+  const std::string root = fresh_root("evalcache_atomic");
+  const std::vector<rtlgen::MacroConfig> cfgs = slice_variants();
+  core::DiskBlobStore disk(root);
+  const core::SubcircuitLibrary scl = disk_library(disk);
+  core::ArtifactCache<core::SliceEval>& slices = scl.artifact_store()->slices;
+  (void)scl.slice(cfgs[0]);
+  EXPECT_EQ(slices.flush_l2(), 1u);
+  EXPECT_TRUE(std::filesystem::is_empty(root + "/tmp"));
+  // A later flush publishes only the new entries, the same way.
+  (void)scl.slice(cfgs[1]);
+  (void)scl.slice(cfgs[2]);
+  EXPECT_EQ(slices.flush_l2(), 2u);
+  EXPECT_TRUE(std::filesystem::is_empty(root + "/tmp"));
+  core::DiskBlobStore reader(root);
+  for (const rtlgen::MacroConfig& c : cfgs) {
+    const auto payload = reader.get("slices", slice_key(c));
+    ASSERT_TRUE(payload.has_value());
+    EXPECT_EQ(*payload, slice_bytes(scl, c));
+  }
+  EXPECT_EQ(reader.stats().corrupt + reader.stats().truncated, 0u);
+
+  // An unwritable destination fails cleanly: counted, nothing created.
+  const std::string file = fresh_root("evalcache_notadir");
+  { std::ofstream f(file); f << "occupied"; }
+  core::DiskBlobStore bad(file + "/sub");
+  core::ArtifactStore lost;
+  lost.attach_blob_store(&bad);
+  (void)lost.slices.put(slice_key(cfgs[0]), *scl.slice(cfgs[0]));
+  EXPECT_EQ(lost.slices.flush_l2(), 0u);
+  EXPECT_EQ(lost.slices.stats().l2_write_fails, 1u);
+  EXPECT_FALSE(std::filesystem::exists(file + "/sub"));
 }
 
 // ---------------------------------------------------------------------------
@@ -475,6 +740,17 @@ TEST(SweepPersistence, WarmRestartIsByteIdenticalAndServedFromL2) {
   EXPECT_EQ(dse::sweep_frontier_json(warm), dse::sweep_frontier_json(cold));
   EXPECT_GT(sum_l2_hits(warm.artifacts), 0u);
   EXPECT_GT(warm.artifact_hits(), 0u);
+  // The slice characterizations themselves persist: the warm run answers
+  // every evaluation from the slices tier and runs no slice stage.
+  EXPECT_EQ(warm.cache.misses, 0u);
+  EXPECT_GT(warm.cache.hits, 0u);
+  for (const core::ArtifactTierStats& t : warm.artifacts) {
+    if (t.name == "flats") {
+      EXPECT_EQ(t.lookups(), 0u);
+    } else if (t.name == "slices") {
+      EXPECT_GT(t.l2_hits, 0u);
+    }
+  }
 
   // And the persisted path changes nothing about the results themselves:
   // a plain in-memory sweep has the same frontier bytes.
@@ -488,20 +764,36 @@ TEST(SweepPersistence, CacheSaveFailureIsCountedAndDiagnosed) {
   const std::vector<core::PerfSpec> specs = {small_spec()};
   dse::SweepOptions opt;
   opt.threads = 2;
-  // A cache path whose parent directory cannot exist: save_json fails.
-  const std::string file = fresh_root("not_a_dir");
+  opt.lint_frontier = false;
+  // A store directory under a regular file can never be created: every
+  // write-back of the run fails.
+  const std::string file = fresh_root("sweep_not_a_dir");
   { std::ofstream f(file); f << "occupied"; }
-  opt.cache_path = file + "/cache.json";
+  opt.store_dir = file + "/store";
   core::DiagEngine diag;
   opt.diag = &diag;
 
   const dse::SweepReport rep = dse::run_sweep(test_library(), specs, opt);
-  EXPECT_EQ(rep.cache_save_fails, 1u);
-  bool found = false;
-  for (const auto& d : diag.diags()) found = found || d.rule == "CACHE-SAVEFAIL";
-  EXPECT_TRUE(found);
-  EXPECT_NE(dse::sweep_report_json(rep).find("\"save_fails\": 1"),
+  EXPECT_EQ(diag.count_rule("CACHE-OPENFAIL"), 1u);
+  EXPECT_GT(rep.cache.misses, 0u);
+  EXPECT_EQ(rep.cache.l2_write_fails, rep.cache.misses)
+      << "every characterized slice must count its failed write-back";
+  std::uint64_t fails = 0;
+  for (const core::ArtifactTierStats& t : rep.artifacts) {
+    fails += t.l2_write_fails;
+  }
+  const std::string json = dse::sweep_report_json(rep);
+  EXPECT_NE(json.find("\"usable\": false"), std::string::npos);
+  EXPECT_NE(json.find("\"write_fails\": " + std::to_string(fails)),
             std::string::npos);
+
+  // Lost persistence changes nothing about the results.
+  dse::SweepOptions mem;
+  mem.threads = 2;
+  mem.lint_frontier = false;
+  EXPECT_EQ(dse::sweep_frontier_json(rep),
+            dse::sweep_frontier_json(
+                dse::run_sweep(test_library(), specs, mem)));
 }
 
 TEST(ShardedSweep, ShardOwnsPartitionsExactly) {

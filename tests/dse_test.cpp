@@ -1,20 +1,26 @@
-// Unit + determinism tests of the src/dse subsystem: config/spec hashing,
-// evaluation-cache accounting and persistence, the work-stealing pool,
-// and search/sweep reproducibility across runs and thread counts.
+// Unit + determinism tests of the src/dse subsystem and the memo layer it
+// evaluates through: config/spec hashing, evaluation-cache accounting,
+// ArtifactCache in-flight deduplication, concurrent SubcircuitLibrary
+// evaluation, the work-stealing pool, and search/sweep reproducibility
+// across runs and thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <chrono>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cell/characterize.hpp"
+#include "core/artifact_cache.hpp"
 #include "core/searcher.hpp"
 #include "dse/eval_cache.hpp"
 #include "dse/pool.hpp"
 #include "dse/sweep.hpp"
+#include "obs/obs.hpp"
+#include "rtlgen/content_key.hpp"
 #include "tech/tech_node.hpp"
 
 using namespace syndcim;
@@ -54,24 +60,30 @@ void expect_same_points(const std::vector<core::DesignPoint>& a,
   }
 }
 
-/// Deterministic synthetic backend: derives an outcome from the config
-/// hash and counts invocations (to observe memoization).
-class CountingBackend final : public core::EvalBackend {
- public:
-  core::EvalOutcome evaluate(const rtlgen::MacroConfig& cfg,
-                             const core::PerfSpec& spec) override {
-    calls.fetch_add(1, std::memory_order_relaxed);
-    const double h =
-        static_cast<double>(dse::hash_config(cfg) % 100000u) + spec.vdd;
-    core::EvalOutcome o;
-    o.ppa.power_uw = h;
-    o.ppa.area_um2 = h * 2.0;
-    o.ppa.fmax_mhz = spec.mac_freq_mhz + 100.0;
-    o.timing.mac_ok = o.timing.ofu_ok = o.timing.write_ok = true;
-    return o;
+void expect_same_outcome(const core::EvalOutcome& a,
+                         const core::EvalOutcome& b) {
+  EXPECT_EQ(a.ppa.fmax_mhz, b.ppa.fmax_mhz);
+  EXPECT_EQ(a.ppa.write_fmax_mhz, b.ppa.write_fmax_mhz);
+  EXPECT_EQ(a.ppa.power_uw, b.ppa.power_uw);
+  EXPECT_EQ(a.ppa.area_um2, b.ppa.area_um2);
+  EXPECT_EQ(a.ppa.energy_per_mac_fj, b.ppa.energy_per_mac_fj);
+  EXPECT_EQ(a.ppa.latency_cycles, b.ppa.latency_cycles);
+  EXPECT_EQ(a.ppa.tops_1b, b.ppa.tops_1b);
+  EXPECT_EQ(a.timing.mac_period_ps, b.timing.mac_period_ps);
+  EXPECT_EQ(a.timing.ofu_period_ps, b.timing.ofu_period_ps);
+  EXPECT_EQ(a.timing.write_period_ps, b.timing.write_period_ps);
+  EXPECT_EQ(a.timing.mac_ok, b.timing.mac_ok);
+  EXPECT_EQ(a.timing.ofu_ok, b.timing.ofu_ok);
+  EXPECT_EQ(a.timing.write_ok, b.timing.write_ok);
+}
+
+/// Blocks the calling compute function until `n` other callers wait on
+/// its claim.
+void await_waiters(const core::ArtifactCache<int>& cache, std::uint64_t n) {
+  while (cache.stats().inflight_waits < n) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  std::atomic<int> calls{0};
-};
+}
 
 }  // namespace
 
@@ -161,202 +173,241 @@ TEST(ConfigHash, SpecKnobsCoverTimingButNotPreference) {
   EXPECT_NE(dse::hash_spec_knobs(base), dse::hash_spec_knobs(margin));
 }
 
+TEST(ConfigHash, Fnv1a64KeepsItsHistoricalBasis) {
+  // Frontier point ids and serve's netmap keys are built on this exact
+  // output, whose basis is not the standard FNV-1a one.
+  const std::string key = "cfg{r64,c64}";
+  EXPECT_EQ(dse::fnv1a64(key), 0xf61139eb0648f50eULL);
+  EXPECT_EQ(core::artifact_fnv1a64(key.data(), key.size()),
+            0x702cef43d42aa828ULL);
+  EXPECT_EQ(dse::fnv1a64(""), 1469598103934665603ULL);
+}
+
+// The evaluation cache is the artifact store's `slices` tier: one lookup
+// per evaluation, keyed by the slice alone, so every spec variant of a
+// configuration shares one entry and only re-derives timing and PPA from
+// it.
 TEST(EvalCache, HitMissAccounting) {
-  CountingBackend inner;
-  dse::EvalCache cache;
-  dse::CachedEvalBackend cached(inner, cache);
+  core::SubcircuitLibrary scl(test_library());
+  const core::ArtifactCache<core::SliceEval>& slices = scl.artifacts().slices;
   const core::PerfSpec spec = small_spec();
   const rtlgen::MacroConfig cfg = spec.base_config();
 
-  const core::EvalOutcome first = cached.evaluate(cfg, spec);
-  EXPECT_EQ(inner.calls.load(), 1);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 0u);
+  const core::EvalOutcome first = scl.evaluate(cfg, spec);
+  EXPECT_EQ(slices.stats().misses, 1u);
+  EXPECT_EQ(slices.stats().hits, 0u);
 
-  const core::EvalOutcome second = cached.evaluate(cfg, spec);
-  EXPECT_EQ(inner.calls.load(), 1) << "second evaluation must be memoized";
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(first.ppa.power_uw, second.ppa.power_uw);
+  const core::EvalOutcome second = scl.evaluate(cfg, spec);
+  EXPECT_EQ(slices.stats().misses, 1u) << "second evaluation must be memoized";
+  EXPECT_EQ(slices.stats().hits, 1u);
+  expect_same_outcome(first, second);
 
-  // Preference-only spec change shares the entry; timing change misses.
+  // Preference-only and timing-only spec changes both hit the entry.
   core::PerfSpec pref = spec;
   pref.pref.area = 42.0;
-  (void)cached.evaluate(cfg, pref);
-  EXPECT_EQ(inner.calls.load(), 1);
-  EXPECT_EQ(cache.stats().hits, 2u);
-
+  expect_same_outcome(scl.evaluate(cfg, pref), first);
   core::PerfSpec faster = spec;
   faster.mac_freq_mhz += 100.0;
-  (void)cached.evaluate(cfg, faster);
-  EXPECT_EQ(inner.calls.load(), 2);
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_GE(cache.stats().miss_eval_ms, 0.0);
+  const core::EvalOutcome fast = scl.evaluate(cfg, faster);
+  EXPECT_EQ(slices.stats().hits, 3u);
+  EXPECT_EQ(slices.stats().misses, 1u);
+  EXPECT_EQ(fast.timing.mac_period_ps, first.timing.mac_period_ps);
+  EXPECT_GT(fast.ppa.tops_1b, first.ppa.tops_1b);
+
+  // A configuration with another slice misses.
+  rtlgen::MacroConfig regs = cfg;
+  regs.ofu.pipeline_regs = 1;
+  ASSERT_NE(rtlgen::slice_content_key(regs), rtlgen::slice_content_key(cfg));
+  (void)scl.evaluate(regs, spec);
+  EXPECT_EQ(slices.stats().misses, 2u);
+  EXPECT_EQ(slices.stats().entries, 2u);
+  EXPECT_DOUBLE_EQ(slices.stats().hit_rate(), 3.0 / 5.0);
+
+  // A sweep reports the tier's per-run delta, also over a store that
+  // outlives it (the serve daemon's): a repeat sweep is all hits.
+  core::ArtifactStore shared;
+  dse::SweepOptions opt;
+  opt.threads = 2;
+  opt.lint_frontier = false;
+  opt.shared_store = &shared;
+  const std::vector<core::PerfSpec> specs = {spec};
+  const dse::SweepReport cold = dse::run_sweep(test_library(), specs, opt);
+  const dse::SweepReport warm = dse::run_sweep(test_library(), specs, opt);
+  EXPECT_GT(cold.cache.misses, 0u);
+  EXPECT_EQ(cold.cache.misses, shared.slices.stats().entries);
+  EXPECT_EQ(warm.cache.misses, 0u);
+  EXPECT_EQ(warm.cache.hits, cold.cache.lookups());
+  EXPECT_EQ(warm.cache.hit_rate(), 1.0);
+  EXPECT_EQ(shared.slices.stats().lookups(),
+            cold.cache.lookups() + warm.cache.lookups());
 }
 
-TEST(EvalCache, DiskRoundTrip) {
-  const std::string path = "dse_cache_roundtrip_test.json";
-  std::remove(path.c_str());
+TEST(ArtifactCacheInflight, ConcurrentCallersComputeOnceAndShareThePointer) {
+  constexpr int kThreads = 6;
+  core::ArtifactCache<int> cache("t");
+  std::atomic<int> computes{0};
+  std::vector<std::shared_ptr<const int>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      got[i] = cache.get_or_compute("k", [&] {
+        computes.fetch_add(1);
+        await_waiters(cache, kThreads - 1);
+        return 42;
+      });
+    });
+  }
+  for (std::thread& t : threads) t.join();
 
-  dse::EvalCache cache;
-  core::EvalOutcome o1;
-  o1.ppa.fmax_mhz = 1.0 / 3.0;  // not exactly representable in decimal
-  o1.ppa.write_fmax_mhz = 123.456789;
-  o1.ppa.power_uw = 1e-30;
-  o1.ppa.area_um2 = 98765.4321;
-  o1.ppa.energy_per_mac_fj = 2.5e17;
-  o1.ppa.tops_1b = 0.0625;
-  o1.ppa.latency_cycles = 7;
-  o1.timing.mac_period_ps = 3333.333333333;
-  o1.timing.ofu_period_ps = 1.7e-4;
-  o1.timing.write_period_ps = 250.0;
-  o1.timing.mac_ok = true;
-  o1.timing.ofu_ok = false;
-  o1.timing.write_ok = true;
-  core::EvalOutcome o2 = o1;
-  o2.ppa.power_uw = 77.0;
-  o2.timing.mac_ok = false;
-  cache.insert("cfg{alpha}|spec{a}", o1);
-  cache.insert("cfg{beta}|spec{b}", o2);
-  ASSERT_TRUE(cache.save_json(path));
-
-  dse::EvalCache loaded;
-  ASSERT_EQ(loaded.load_json(path), 2u);
-  EXPECT_EQ(loaded.stats().loaded, 2u);
-  const auto r1 = loaded.lookup("cfg{alpha}|spec{a}");
-  ASSERT_TRUE(r1.has_value());
-  EXPECT_EQ(r1->ppa.fmax_mhz, o1.ppa.fmax_mhz);
-  EXPECT_EQ(r1->ppa.write_fmax_mhz, o1.ppa.write_fmax_mhz);
-  EXPECT_EQ(r1->ppa.power_uw, o1.ppa.power_uw);
-  EXPECT_EQ(r1->ppa.area_um2, o1.ppa.area_um2);
-  EXPECT_EQ(r1->ppa.energy_per_mac_fj, o1.ppa.energy_per_mac_fj);
-  EXPECT_EQ(r1->ppa.tops_1b, o1.ppa.tops_1b);
-  EXPECT_EQ(r1->ppa.latency_cycles, o1.ppa.latency_cycles);
-  EXPECT_EQ(r1->timing.mac_period_ps, o1.timing.mac_period_ps);
-  EXPECT_EQ(r1->timing.ofu_period_ps, o1.timing.ofu_period_ps);
-  EXPECT_EQ(r1->timing.write_period_ps, o1.timing.write_period_ps);
-  EXPECT_EQ(r1->timing.mac_ok, o1.timing.mac_ok);
-  EXPECT_EQ(r1->timing.ofu_ok, o1.timing.ofu_ok);
-  EXPECT_EQ(r1->timing.write_ok, o1.timing.write_ok);
-  const auto r2 = loaded.lookup("cfg{beta}|spec{b}");
-  ASSERT_TRUE(r2.has_value());
-  EXPECT_EQ(r2->ppa.power_uw, o2.ppa.power_uw);
-  EXPECT_FALSE(r2->timing.mac_ok);
-
-  EXPECT_EQ(dse::EvalCache{}.load_json("does_not_exist.json"), 0u);
-  std::remove(path.c_str());
+  EXPECT_EQ(computes.load(), 1);
+  for (const auto& p : got) {
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p, got[0]) << "every caller gets the claimant's pointer";
+  }
+  EXPECT_EQ(*got[0], 42);
+  const core::ArtifactTierStats st = cache.stats();
+  EXPECT_EQ(st.inflight_waits, kThreads - 1u);
+  EXPECT_EQ(st.misses, 1u);
+  EXPECT_EQ(st.hits, kThreads - 1u);
+  EXPECT_EQ(st.entries, 1u);
 }
 
-namespace {
+TEST(ArtifactCacheInflight, ThrowingClaimantLetsAWaiterRecompute) {
+  constexpr int kThreads = 4;
+  core::ArtifactCache<int> cache("t");
+  std::atomic<int> attempts{0};
+  std::atomic<int> failures{0};
+  std::vector<std::shared_ptr<const int>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      try {
+        got[i] = cache.get_or_compute("k", [&] {
+          if (attempts.fetch_add(1) == 0) {
+            await_waiters(cache, kThreads - 1);
+            throw std::runtime_error("first claimant fails");
+          }
+          return 7;
+        });
+      } catch (const std::runtime_error&) {
+        failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();  // nobody hangs
 
-core::EvalOutcome sample_outcome(double power) {
-  core::EvalOutcome o;
-  o.ppa.fmax_mhz = 400.0;
-  o.ppa.power_uw = power;
-  o.ppa.area_um2 = 1234.5;
-  o.ppa.latency_cycles = 3;
-  o.timing.mac_ok = true;
-  return o;
+  EXPECT_EQ(failures.load(), 1);
+  EXPECT_EQ(attempts.load(), 2) << "the failed claim plus one recompute";
+  std::shared_ptr<const int> value;
+  int answered = 0;
+  for (const auto& p : got) {
+    if (p == nullptr) continue;
+    ++answered;
+    if (value == nullptr) value = p;
+    EXPECT_EQ(p, value);
+  }
+  EXPECT_EQ(answered, kThreads - 1);
+  ASSERT_NE(value, nullptr);
+  EXPECT_EQ(*value, 7);
+  EXPECT_EQ(cache.stats().entries, 1u);
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream f(path);
-  std::stringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
-}
+TEST(ArtifactCacheInflight, WaitIsTracedApartFromCompute) {
+  obs::tracer().clear();
+  obs::set_enabled(true);
+  core::ArtifactCache<int> cache("t");
+  std::thread claimant([&] {
+    (void)cache.get_or_compute("k", [&] {
+      OBS_SPAN("test.compute");
+      await_waiters(cache, 1);
+      return 1;
+    });
+  });
+  std::thread waiter([&] {
+    while (cache.stats().misses == 0) std::this_thread::yield();
+    (void)cache.get_or_compute("k", [] { return 2; });
+  });
+  claimant.join();
+  waiter.join();
+  obs::set_enabled(false);
 
-void spit(const std::string& path, const std::string& text) {
-  std::ofstream f(path);
-  f << text;
-}
-
-}  // namespace
-
-TEST(EvalCache, CorruptedEntryIsRejectedAndCountedNotInstalled) {
-  const std::string path = "dse_cache_corrupt_test.json";
-  std::remove(path.c_str());
-  dse::EvalCache cache;
-  cache.insert("cfg{good1}|spec{x}", sample_outcome(1.0));
-  cache.insert("cfg{victim}|spec{x}", sample_outcome(2.0));
-  cache.insert("cfg{good2}|spec{x}", sample_outcome(3.0));
-  ASSERT_TRUE(cache.save_json(path));
-
-  // Mangle the first PPA number of the victim entry only.
-  std::string text = slurp(path);
-  const std::size_t at = text.find("cfg{victim}|spec{x}");
-  ASSERT_NE(at, std::string::npos);
-  const std::size_t vbegin = text.find("\"ppa\": [\"", at) + 9;
-  const std::size_t vend = text.find('"', vbegin);
-  text.replace(vbegin, vend - vbegin, "banana");
-  spit(path, text);
-
-  dse::EvalCache loaded;
-  core::DiagEngine diag;
-  EXPECT_EQ(loaded.load_json(path, &diag), 2u);
-  const dse::EvalCacheStats st = loaded.stats();
-  EXPECT_EQ(st.loaded, 2u);
-  EXPECT_EQ(st.rejected, 1u);
-  EXPECT_GE(diag.count_rule("CACHE-BADENTRY"), 1u);
-  EXPECT_FALSE(loaded.lookup("cfg{victim}|spec{x}").has_value());
-  EXPECT_TRUE(loaded.lookup("cfg{good1}|spec{x}").has_value());
-  EXPECT_TRUE(loaded.lookup("cfg{good2}|spec{x}").has_value());
-  std::remove(path.c_str());
-}
-
-TEST(EvalCache, TruncatedEntriesNeverInstallGarbage) {
-  // Fuzz-ish: chop the persisted file at many points; whatever loads must
-  // be an entry that round-trips exactly, never a half-parsed one.
-  const std::string path = "dse_cache_truncate_test.json";
-  std::remove(path.c_str());
-  dse::EvalCache cache;
-  cache.insert("cfg{only}|spec{x}", sample_outcome(7.5));
-  ASSERT_TRUE(cache.save_json(path));
-  const std::string text = slurp(path);
-
-  for (long cut = static_cast<long>(text.size()) - 1; cut > 0; cut -= 17) {
-    spit(path, text.substr(0, static_cast<std::size_t>(cut)));
-    dse::EvalCache loaded;
-    const std::size_t n = loaded.load_json(path);
-    if (n == 1) {
-      const auto r = loaded.lookup("cfg{only}|spec{x}");
-      ASSERT_TRUE(r.has_value());
-      EXPECT_EQ(r->ppa.power_uw, 7.5);
-      EXPECT_EQ(r->ppa.latency_cycles, 3);
-    } else {
-      EXPECT_EQ(loaded.size(), 0u) << "cut=" << cut;
+  int compute_tid = -1, wait_tid = -1, waits = 0;
+  for (const obs::RecordedSpan& s : obs::tracer().snapshot()) {
+    if (s.ev.name == "test.compute") compute_tid = s.tid;
+    if (s.ev.name == "artifact.t.wait") {
+      wait_tid = s.tid;
+      ++waits;
     }
   }
-  std::remove(path.c_str());
+  obs::tracer().clear();
+  EXPECT_EQ(waits, 1);
+  ASSERT_NE(compute_tid, -1);
+  EXPECT_NE(wait_tid, compute_tid) << "the wait is its own span on the waiter";
+  EXPECT_EQ(*cache.get_or_compute("k", [] { return 3; }), 1);
 }
 
-TEST(EvalCache, MissingFormatMarkerIsReported) {
-  const std::string path = "dse_cache_badfile_test.json";
-  spit(path, "{\"entries\": [{\"key\": \"k\"}]}");
-  dse::EvalCache cache;
-  core::DiagEngine diag;
-  EXPECT_EQ(cache.load_json(path, &diag), 0u);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(diag.count_rule("CACHE-BADFILE"), 1u);
-  std::remove(path.c_str());
-}
+TEST(SubcircuitLibraryConcurrency, FourThreadsMatchSequentialBitForBit) {
+  const core::PerfSpec spec = small_spec();
+  std::vector<rtlgen::MacroConfig> cfgs;
+  const rtlgen::MacroConfig base = spec.base_config();
+  cfgs.push_back(base);
+  for (const double fa : {0.5, 1.0}) {
+    rtlgen::MacroConfig c = base;
+    c.tree.fa_fraction = fa;
+    cfgs.push_back(c);
+  }
+  {
+    rtlgen::MacroConfig c = base;
+    c.cols *= 2;  // same slice as `base`
+    cfgs.push_back(c);
+  }
+  {
+    rtlgen::MacroConfig c = base;
+    c.ofu.pipeline_regs = 1;
+    cfgs.push_back(c);
+  }
+  std::set<std::string> slice_keys;
+  for (const rtlgen::MacroConfig& c : cfgs) {
+    slice_keys.insert(rtlgen::slice_content_key(c));
+  }
+  ASSERT_LT(slice_keys.size(), cfgs.size());
 
-TEST(EvalCache, NonFiniteNumbersAreRejected) {
-  const std::string path = "dse_cache_inf_test.json";
-  std::remove(path.c_str());
-  dse::EvalCache cache;
-  cache.insert("cfg{a}|spec{x}", sample_outcome(1.0));
-  ASSERT_TRUE(cache.save_json(path));
-  std::string text = slurp(path);
-  const std::size_t vbegin = text.find("\"ppa\": [\"") + 9;
-  const std::size_t vend = text.find('"', vbegin);
-  text.replace(vbegin, vend - vbegin, "inf");
-  spit(path, text);
+  core::SubcircuitLibrary seq(test_library());
+  std::vector<core::EvalOutcome> want;
+  for (const rtlgen::MacroConfig& c : cfgs) {
+    want.push_back(seq.evaluate(c, spec));
+  }
 
-  dse::EvalCache loaded;
-  EXPECT_EQ(loaded.load_json(path), 0u);
-  EXPECT_EQ(loaded.stats().rejected, 1u);
-  std::remove(path.c_str());
+  // Four workers over one library (one store), each starting at a
+  // different config so they collide on the same slice keys.
+  constexpr int kThreads = 4;
+  core::SubcircuitLibrary par(test_library());
+  std::vector<std::vector<core::EvalOutcome>> got(
+      kThreads, std::vector<core::EvalOutcome>(cfgs.size()));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t j = 0; j < cfgs.size(); ++j) {
+        const std::size_t i = (j + static_cast<std::size_t>(t)) % cfgs.size();
+        got[t][i] = par.evaluate(cfgs[i], spec);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      SCOPED_TRACE("thread " + std::to_string(t) + " config " +
+                   std::to_string(i));
+      expect_same_outcome(got[t][i], want[i]);
+    }
+  }
+  // Each slice was characterized exactly once: one flats miss per key.
+  core::ArtifactStore& as = par.artifacts();
+  EXPECT_EQ(as.flats.stats().misses, slice_keys.size());
+  EXPECT_EQ(as.slices.stats().misses, slice_keys.size());
+  EXPECT_EQ(as.slices.stats().entries, slice_keys.size());
+  EXPECT_EQ(as.slices.stats().lookups(), kThreads * cfgs.size());
 }
 
 TEST(WorkStealingPool, ExecutesEverySubmittedTask) {
@@ -457,17 +508,31 @@ TEST(SweepDeterminism, CacheDoesNotChangeResultsAndGetsHits) {
 
   dse::SweepOptions uncached;
   uncached.threads = 2;
-  uncached.use_cache = false;
+  uncached.use_artifact_cache = false;
   dse::SweepOptions cached;
   cached.threads = 2;
-  cached.use_cache = true;
   const dse::SweepReport a = dse::run_sweep(test_library(), specs, uncached);
   const dse::SweepReport b = dse::run_sweep(test_library(), specs, cached);
 
   EXPECT_EQ(dse::sweep_frontier_json(a), dse::sweep_frontier_json(b));
-  EXPECT_EQ(a.cache.hits + a.cache.misses, 0u) << "cache off must not count";
-  EXPECT_GT(b.cache.hits, 0u)
-      << "the preference-duplicated spec must hit the shared cache";
+  EXPECT_EQ(a.cache.lookups(), 0u) << "a bypassed tier must not count";
+  EXPECT_EQ(a.artifact_hits() + a.artifact_misses(), 0u);
+  // The report's cache block is the slices tier's per-run delta: one
+  // lookup per evaluation, a miss per distinct slice.
+  core::ArtifactTierStats slices;
+  for (const core::ArtifactTierStats& t : b.artifacts) {
+    if (t.name == "slices") slices = t;
+  }
+  EXPECT_EQ(b.cache.hits, slices.hits);
+  EXPECT_EQ(b.cache.misses, slices.misses);
+  EXPECT_EQ(b.cache.misses, slices.entries);
+  EXPECT_GT(b.cache.hits, b.cache.misses)
+      << "the preference-duplicated spec must hit the shared slices";
+  std::size_t explored = 0;
+  for (const dse::SpecResult& sr : b.per_spec) {
+    explored += sr.result.explored.size();
+  }
+  EXPECT_GE(b.cache.lookups(), explored);
 }
 
 TEST(SweepDeterminism, MatchesSequentialSearcher) {

@@ -1,13 +1,11 @@
 // Cold-vs-incremental equivalence tests of the content-addressed
 // subcircuit-artifact pipeline: stitch_flatten vs flatten byte-identity,
 // grouped activity propagation, stage skipping inside implement() and the
-// subcircuit library, NET-* diagnostic routing, crash-safe eval-cache
-// persistence, and the one-knob-delta sweep whose frontier JSON must be
-// byte-identical with the artifact tier on or off.
+// subcircuit library, NET-* diagnostic routing, and the one-knob-delta
+// sweep whose frontier JSON must be byte-identical with the artifact
+// tiers on or off.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -339,22 +337,41 @@ TEST(SubcircuitLibrary, SharedStoreSkipsEverySliceStage) {
   core::SubcircuitLibrary scl1(lib(), store);
   core::SubcircuitLibrary scl2(lib(), store);
   const rtlgen::MacroConfig cfg = small_cfg();
+  // The stage tiers the slice pipeline reads and writes.
+  auto stage_stats = [&] {
+    return std::vector<core::ArtifactTierStats>{
+        store->flats.stats(),  store->placed.stats(),
+        store->routes.stats(), store->timings.stats(),
+        store->act_models.stats(), store->powers.stats()};
+  };
 
-  const core::PpaEstimate a = scl1.evaluate(cfg, core::PerfSpec{});
-  for (const core::StageRecord& r : scl1.last_slice_stages()) {
-    EXPECT_FALSE(r.skipped) << r.stage;
+  const core::EvalOutcome a = scl1.evaluate(cfg, core::PerfSpec{});
+  for (const core::ArtifactTierStats& t : stage_stats()) {
+    EXPECT_EQ(t.hits, 0u) << t.name;
+    EXPECT_EQ(t.misses, 1u) << t.name << " ran once";
   }
 
   // A second library over the same store (the sweep's worker situation)
-  // replays the whole slice from artifacts.
-  const core::PpaEstimate b = scl2.evaluate(cfg, core::PerfSpec{});
-  ASSERT_FALSE(scl2.last_slice_stages().empty());
-  for (const core::StageRecord& r : scl2.last_slice_stages()) {
-    EXPECT_TRUE(r.skipped) << r.stage;
+  // answers from the slices tier without reaching any stage tier.
+  const core::EvalOutcome b = scl2.evaluate(cfg, core::PerfSpec{});
+  EXPECT_EQ(store->slices.stats().hits, 1u);
+  for (const core::ArtifactTierStats& t : stage_stats()) {
+    EXPECT_EQ(t.lookups(), 1u) << t.name;
   }
-  EXPECT_EQ(a.power_uw, b.power_uw);
-  EXPECT_EQ(a.area_um2, b.area_um2);
-  EXPECT_EQ(a.fmax_mhz, b.fmax_mhz);
+
+  // With the slice itself gone, re-characterizing skips every stage.
+  store->slices.clear();
+  const core::EvalOutcome c = scl2.evaluate(cfg, core::PerfSpec{});
+  for (const core::ArtifactTierStats& t : stage_stats()) {
+    EXPECT_EQ(t.hits, 1u) << t.name << " skipped";
+    EXPECT_EQ(t.misses, 1u) << t.name;
+  }
+  for (const core::EvalOutcome* o : {&b, &c}) {
+    EXPECT_EQ(a.ppa.power_uw, o->ppa.power_uw);
+    EXPECT_EQ(a.ppa.area_um2, o->ppa.area_um2);
+    EXPECT_EQ(a.ppa.fmax_mhz, o->ppa.fmax_mhz);
+    EXPECT_EQ(a.timing.mac_period_ps, o->timing.mac_period_ps);
+  }
 }
 
 TEST(NetValidate, RoutesProblemsThroughDiagEngine) {
@@ -373,40 +390,6 @@ TEST(NetValidate, RoutesProblemsThroughDiagEngine) {
   core::DiagEngine notop;
   EXPECT_FALSE(netlist::validate(d, "nosuch", notop));
   EXPECT_EQ(notop.count_rule("NET-NOTOP"), 1u);
-}
-
-TEST(EvalCachePersistence, SaveIsAtomicAndLeavesNoTempFile) {
-  const std::string path = ::testing::TempDir() + "syndcim_evalcache.json";
-  const std::string tmp = path + ".tmp";
-  std::remove(path.c_str());
-
-  dse::EvalCache cache;
-  core::EvalOutcome out;
-  out.ppa.power_uw = 12.5;
-  out.ppa.area_um2 = 480.0;
-  cache.insert("k1", out);
-  ASSERT_TRUE(cache.save_json(path));
-
-  // The temp file was renamed away and the target parses cleanly.
-  EXPECT_FALSE(std::ifstream(tmp).good());
-  dse::EvalCache back;
-  core::DiagEngine diag;
-  EXPECT_EQ(back.load_json(path, &diag), 1u);
-  EXPECT_EQ(diag.count_rule("CACHE-BADFILE"), 0u);
-  EXPECT_EQ(diag.count_rule("CACHE-BADENTRY"), 0u);
-
-  // Overwriting an existing file goes through the same tmp+rename path;
-  // a reader can never observe a torn file at `path`.
-  out.ppa.power_uw = 99.0;
-  cache.insert("k2", out);
-  ASSERT_TRUE(cache.save_json(path));
-  EXPECT_FALSE(std::ifstream(tmp).good());
-  dse::EvalCache back2;
-  EXPECT_EQ(back2.load_json(path), 2u);
-
-  // An unwritable destination fails cleanly without littering.
-  EXPECT_FALSE(cache.save_json("/nonexistent_dir/deep/cache.json"));
-  std::remove(path.c_str());
 }
 
 TEST(Sweep, OneKnobDeltaFrontierIsByteIdenticalWithArtifactTierOnOrOff) {

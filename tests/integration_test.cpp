@@ -139,7 +139,7 @@ TEST(SclComposition, MatchesFullMacroAnalysis) {
   const auto cfg = spec.base_config();
 
   core::SubcircuitLibrary scl(lib());
-  const auto est = scl.evaluate(cfg, spec);
+  const auto est = scl.evaluate(cfg, spec).ppa;
 
   const auto md = rtlgen::gen_macro(cfg);
   const auto flat = netlist::flatten(md.design, md.top);

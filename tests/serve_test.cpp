@@ -2,10 +2,17 @@
 // cancellation, single-flight batching, bounded LRU artifact caching,
 // and a live in-process daemon driven over real TCP connections —
 // mixed-tenant load, cross-request artifact warm hits, deadline
-// cancellation, admission-control rejects, graceful drain, and
-// byte-identity of a served sweep frontier against the batch path.
+// cancellation, admission-control rejects, graceful drain, request-line
+// framing, and byte-identity of a served sweep frontier against the
+// batch path.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -68,6 +75,89 @@ serve::ClientResponse call(int port, const std::string& method,
 
 std::uint64_t counter_value(const std::string& name) {
   return obs::metrics().counter(name).value();
+}
+
+/// A bare TCP connection, for framing tests the line-oriented Client
+/// cannot express (partial writes, packed writes, no newline at all).
+class RawConn {
+ public:
+  explicit RawConn(int port) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ok_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
+          0;
+  }
+  ~RawConn() { ::close(fd_); }
+  RawConn(const RawConn&) = delete;
+  RawConn& operator=(const RawConn&) = delete;
+
+  [[nodiscard]] bool ok() const { return ok_; }
+
+  bool send_all(const std::string& bytes) {
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
+                               MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      off += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  /// Next response line; empty on EOF or when nothing arrives within
+  /// `timeout_ms`.
+  std::string read_line(int timeout_ms = 30000) {
+    while (true) {
+      const std::size_t nl = in_.find('\n');
+      if (nl != std::string::npos) {
+        std::string line = in_.substr(0, nl);
+        in_.erase(0, nl + 1);
+        return line;
+      }
+      if (!fill(timeout_ms)) return {};
+    }
+  }
+
+  /// True once the peer has closed (reads EOF within `timeout_ms`).
+  bool closed_by_peer(int timeout_ms = 30000) {
+    while (fill(timeout_ms)) {
+    }
+    return eof_;
+  }
+
+ private:
+  bool fill(int timeout_ms) {
+    pollfd pfd = {};
+    pfd.fd = fd_;
+    pfd.events = POLLIN;
+    if (::poll(&pfd, 1, timeout_ms) <= 0) return false;
+    char buf[4096];
+    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    if (n <= 0) {
+      eof_ = true;
+      return false;
+    }
+    in_.append(buf, static_cast<std::size_t>(n));
+    return true;
+  }
+
+  int fd_ = -1;
+  bool ok_ = false;
+  bool eof_ = false;
+  std::string in_;
+};
+
+/// Parses one response line; fails the test on malformed JSON.
+serve::JsonValue parse_response(const std::string& line) {
+  serve::JsonValue v;
+  std::string err;
+  EXPECT_TRUE(serve::json_parse(line, &v, &err)) << err << ": " << line;
+  return v;
 }
 
 // ---------------------------------------------------------------------------
@@ -310,6 +400,61 @@ TEST(ServeDaemon, StatusAndUnknownMethodAndBadLine) {
   ASSERT_TRUE(raw.call_raw("this is not json", &bad, &err)) << err;
   EXPECT_FALSE(bad.ok);
   EXPECT_EQ(bad.code, serve::kErrBadRequest);
+  server->drain();
+}
+
+TEST(ServeReader, OverlongLineGetsItsOwnErrorAndCloses) {
+  auto server = start_server();
+  {
+    RawConn conn(server->port());
+    ASSERT_TRUE(conn.ok());
+    // No newline ever: the reader must give up at the cap instead of
+    // buffering forever.
+    ASSERT_TRUE(conn.send_all(std::string(serve::kMaxRequestLineBytes + 1,
+                                          'x')));
+    const std::string line = conn.read_line();
+    ASSERT_FALSE(line.empty()) << "no reply to an over-long line";
+    const serve::JsonValue resp = parse_response(line);
+    const serve::JsonValue* error = resp.find("error");
+    ASSERT_NE(error, nullptr) << line;
+    EXPECT_EQ(static_cast<int>(error->find("code")->as_number()),
+              serve::kErrLineTooLong);
+    EXPECT_TRUE(conn.closed_by_peer());
+  }
+  // Other connections are unaffected.
+  EXPECT_TRUE(call(server->port(), "status", {}).ok);
+  server->drain();
+}
+
+TEST(ServeReader, OneByteWritesStillParse) {
+  auto server = start_server();
+  RawConn conn(server->port());
+  ASSERT_TRUE(conn.ok());
+  const std::string line = "{\"id\": \"byte\", \"method\": \"status\"}\n";
+  for (const char c : line) {
+    ASSERT_TRUE(conn.send_all(std::string(1, c)));
+  }
+  const serve::JsonValue resp = parse_response(conn.read_line());
+  EXPECT_EQ(resp.find("id")->as_string(), "byte");
+  EXPECT_EQ(resp.find("status")->as_string(), "ok");
+  server->drain();
+}
+
+TEST(ServeReader, TwoRequestsInOneWriteBothParse) {
+  auto server = start_server();
+  RawConn conn(server->port());
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(conn.send_all(
+      "{\"id\": \"a\", \"method\": \"status\"}\n"
+      "{\"id\": \"b\", \"method\": \"status\"}\n"));
+  std::vector<std::string> ids;
+  for (int i = 0; i < 2; ++i) {
+    const serve::JsonValue resp = parse_response(conn.read_line());
+    EXPECT_EQ(resp.find("status")->as_string(), "ok");
+    ids.push_back(resp.find("id")->as_string());
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<std::string>{"a", "b"}));
   server->drain();
 }
 

@@ -8,11 +8,11 @@
 //   syndcim [compile] rows=64 cols=64 mcr=2 mac_mhz=400 [--out DIR]
 //   syndcim sweep [base spec keys] [sweep_mac_mhz=...] [sweep_mcr=...]
 //           [sweep_bits=...] [sweep_pref=...] [--threads N]
-//           [--cache FILE] [--no-cache] [--json FILE]
-//           [--frontier-json FILE]
+//           [--store-dir DIR] [--json FILE] [--frontier-json FILE]
 //   syndcim netmap --model model.json [--frontier-json FILE |
 //           base spec keys + sweep_* grid keys] [--budget-macros N]
-//           [--budget-area UM2] [--threads N] [--json FILE]
+//           [--budget-area UM2] [--threads N] [--store-dir DIR]
+//           [--json FILE]
 //   syndcim lint <netlist.v> [--top NAME] [--lib FILE] [--json FILE]
 //           [--write-clock PORT]
 //   syndcim serve [--port N] [--workers N] [--queue-cap N] ...
@@ -34,9 +34,9 @@
 //   sweep_bits=4;8;4,8           precision dimension (input+weight bits)
 //   sweep_pref=balanced,power    PPA preference dimension
 //                                (balanced|power|area|perf)
-// The sweep runs every grid point's search on a work-stealing pool with
-// a shared memoized evaluation cache and prints a JSON report (global
-// Pareto frontier + per-spec summaries + cache/pool statistics).
+// The sweep runs every grid point's search on a work-stealing pool over
+// one shared artifact store and prints a JSON report (global Pareto
+// frontier + per-spec summaries + cache/pool statistics).
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -111,15 +111,14 @@ void usage_sweep(std::ostream& os) {
   os << "usage: syndcim sweep [--spec FILE] [key=value ...]\n"
         "               [sweep_mac_mhz=...] [sweep_mcr=...]\n"
         "               [sweep_bits=...] [sweep_pref=...] [--threads N]\n"
-        "               [--cache FILE] [--no-cache] [--json FILE]\n"
-        "               [--frontier-json FILE] [--store-dir DIR]\n"
+        "               [--json FILE] [--frontier-json FILE]\n"
+        "               [--store-dir DIR] [--no-artifact-cache]\n"
         "               [--shard I/N --shard-out FILE]\n"
         "               [--merge-shards FILE...] [common options]\n"
         "  options:\n"
         "    --threads N       worker threads (default: hardware)\n"
-        "    --cache FILE      warm-start/persist the evaluation cache\n"
-        "    --no-cache        disable evaluation memoization\n"
-        "    --no-artifact-cache  disable the subcircuit-artifact tier\n"
+        "    --no-artifact-cache  bypass every artifact tier (the cold\n"
+        "                      reference path; same frontier bytes)\n"
         "    --json FILE       full sweep report JSON (default: stdout)\n"
         "    --frontier-json FILE  deterministic global-frontier JSON\n"
         "    --store-dir DIR   durable on-disk artifact store: a repeat\n"
@@ -145,7 +144,7 @@ void usage_netmap(std::ostream& os) {
         "               [--frontier-json FILE | [--spec FILE]\n"
         "               [key=value ...] [sweep_* grid keys]]\n"
         "               [--budget-macros N] [--budget-area UM2]\n"
-        "               [--threads N] [--cache FILE] [--no-cache]\n"
+        "               [--threads N] [--store-dir DIR]\n"
         "               [--json FILE] [common options]\n"
         "  options:\n"
         "    --model FILE      syndcim-model v1 layer-graph JSON (required)\n"
@@ -156,8 +155,8 @@ void usage_netmap(std::ostream& os) {
         "    --budget-macros N total owned macros across types (default 8)\n"
         "    --budget-area UM2 total owned silicon budget (default: none)\n"
         "    --threads N       inline-sweep worker threads\n"
-        "    --cache FILE      warm-start/persist the evaluation cache\n"
-        "    --no-cache        disable evaluation memoization\n"
+        "    --store-dir DIR   durable on-disk artifact store: a repeat\n"
+        "                      inline sweep over the same grid starts warm\n"
         "    --json FILE       syndcim-netmap v1 report (default: stdout)\n"
      << kCommonOptions
      << "  exit status: 0 mapped, 1 model/frontier/mapping errors,\n"
@@ -317,10 +316,6 @@ int run_sweep_command(const Args& args) {
                   << "'\n";
         return 2;
       }
-    } else if (a == "--cache" && i + 1 < args.size()) {
-      opt.cache_path = args[++i];
-    } else if (a == "--no-cache") {
-      opt.use_cache = false;
     } else if (a == "--no-artifact-cache") {
       opt.use_artifact_cache = false;
     } else if (a == "--json" && i + 1 < args.size()) {
@@ -400,8 +395,7 @@ int run_sweep_command(const Args& args) {
   std::cerr << "sweep: " << specs.size() << " spec points, threads="
             << (opt.threads > 0 ? opt.threads
                                 : dse::WorkStealingPool::default_threads())
-            << ", cache=" << (opt.use_cache ? "on" : "off");
-  if (!opt.cache_path.empty()) std::cerr << " (" << opt.cache_path << ")";
+            << ", artifact store=" << (opt.use_artifact_cache ? "on" : "off");
   if (!opt.store_dir.empty()) std::cerr << ", store=" << opt.store_dir;
   if (opt.shard_count > 1) {
     std::cerr << ", shard=" << opt.shard_index << "/" << opt.shard_count;
@@ -412,8 +406,9 @@ int run_sweep_command(const Args& args) {
       cell::characterize_default_library(tech::make_default_40nm());
   const dse::SweepReport rep = dse::run_sweep(lib, specs, opt);
 
-  // Cache effectiveness and pool behaviour, read back from the metrics
-  // registry the sweep published into (`dse.cache.*` / `dse.pool.*`).
+  // Slice-tier effectiveness and pool behaviour, read back from the
+  // metrics registry the sweep published into (`dse.cache.*` is the
+  // slices tier, one lookup per evaluation; `dse.pool.*`).
   obs::MetricsRegistry& m = obs::metrics();
   const std::uint64_t hits = m.counter("dse.cache.hit").value();
   const std::uint64_t misses = m.counter("dse.cache.miss").value();
@@ -425,16 +420,16 @@ int run_sweep_command(const Args& args) {
   std::cerr << "frontier: " << rep.frontier.size() << " points from "
             << rep.per_spec.size() << " specs, " << rep.n_tasks
             << " trajectory tasks in " << core::TextTable::num(rep.wall_ms, 0)
-            << " ms; cache " << hits << " hits / " << misses << " misses / "
+            << " ms; slices " << hits << " hits / " << misses << " misses / "
             << inflight << " in-flight waits ("
             << core::TextTable::num(100.0 * hit_rate, 1)
             << "% hit rate), pool stole "
             << m.counter("dse.pool.steal").value() << " of "
             << m.counter("dse.pool.execute").value() << " tasks\n";
 
-  // Tiered cache roll-up: the whole-config evaluation cache sits above
-  // the content-addressed subcircuit-artifact store; a config that misses
-  // the first tier usually still shares most subcircuit artifacts.
+  // Tier roll-up: a configuration that misses the slices tier usually
+  // still shares most of its stage artifacts. The artifact totals
+  // include the slices tier.
   const std::uint64_t art_hits = m.counter("dse.artifact.hit").value();
   const std::uint64_t art_misses = m.counter("dse.artifact.miss").value();
   const double art_rate =
@@ -442,11 +437,11 @@ int run_sweep_command(const Args& args) {
           ? static_cast<double>(art_hits) /
                 static_cast<double>(art_hits + art_misses)
           : 0.0;
-  std::cerr << "cache tiers: whole-config " << hits
-            << " hits; subcircuit artifacts " << art_hits << " hits / "
+  std::cerr << "cache tiers: slices " << hits
+            << " hits; all artifact tiers " << art_hits << " hits / "
             << art_misses << " misses ("
             << core::TextTable::num(100.0 * art_rate, 1) << "% hit rate";
-  if (!opt.use_artifact_cache) std::cerr << ", tier disabled";
+  if (!opt.use_artifact_cache) std::cerr << ", tiers disabled";
   std::cerr << ")\n";
 
   if (!shard_out.empty()) {
@@ -516,10 +511,8 @@ int run_netmap_command(const Args& args) {
         std::cerr << e.what() << "\n";
         return 2;
       }
-    } else if (a == "--cache" && i + 1 < args.size()) {
-      sopt.cache_path = args[++i];
-    } else if (a == "--no-cache") {
-      sopt.use_cache = false;
+    } else if (a == "--store-dir" && i + 1 < args.size()) {
+      sopt.store_dir = args[++i];
     } else if (a == "--json" && i + 1 < args.size()) {
       json_path = args[++i];
     } else if (a.find('=') != std::string::npos) {
