@@ -1,8 +1,9 @@
 #include "core/diag.hpp"
 
-#include <cstdio>
 #include <ostream>
 #include <sstream>
+
+#include "json/json.hpp"
 
 namespace syndcim::core {
 
@@ -101,32 +102,14 @@ std::string DiagEngine::to_json() const {
     const Diagnostic& d = diags_[i];
     if (i) os << ",\n";
     os << "    {\"severity\": \"" << severity_name(d.severity)
-       << "\", \"rule\": \"" << json_escape_string(d.rule)
-       << "\", \"message\": \"" << json_escape_string(d.message)
-       << "\", \"object\": \"" << json_escape_string(d.object)
-       << "\", \"source\": \"" << json_escape_string(d.source)
+       << "\", \"rule\": \"" << json::json_escape(d.rule)
+       << "\", \"message\": \"" << json::json_escape(d.message)
+       << "\", \"object\": \"" << json::json_escape(d.object)
+       << "\", \"source\": \"" << json::json_escape(d.source)
        << "\", \"line\": " << d.line << "}";
   }
   os << "\n  ]\n}\n";
   return os.str();
-}
-
-std::string json_escape_string(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace syndcim::core

@@ -81,7 +81,4 @@ class DiagEngine {
   std::vector<Diagnostic> diags_;
 };
 
-/// Escapes `s` for embedding in a JSON string literal.
-[[nodiscard]] std::string json_escape_string(const std::string& s);
-
 }  // namespace syndcim::core

@@ -11,6 +11,7 @@
 
 #include "core/artifact_cache.hpp"
 #include "core/binio.hpp"
+#include "json/json.hpp"
 
 namespace syndcim::core {
 namespace fs = std::filesystem;
@@ -230,7 +231,7 @@ DiskStoreStats DiskBlobStore::stats() const {
 std::string DiskBlobStore::stats_json() const {
   const DiskStoreStats s = stats();
   std::string j = "{";
-  j += "\"root\": \"" + json_escape_string(root_) + "\"";
+  j += "\"root\": \"" + json::json_escape(root_) + "\"";
   j += ", \"usable\": ";
   j += usable() ? "true" : "false";
   j += ", \"objects_read\": " + std::to_string(s.objects_read);

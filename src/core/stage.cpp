@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "core/artifact_codec.hpp"
+#include "json/json.hpp"
 
 namespace syndcim::core {
 
@@ -99,7 +100,7 @@ std::string ArtifactStore::stats_json() const {
   for (const ArtifactTierStats& t : stats()) {
     if (!first) os << ", ";
     first = false;
-    os << "{\"name\": \"" << json_escape_string(t.name)
+    os << "{\"name\": \"" << json::json_escape(t.name)
        << "\", \"hits\": " << t.hits << ", \"misses\": " << t.misses
        << ", \"entries\": " << t.entries << ", \"evicted\": " << t.evicted
        << ", \"bytes\": " << t.bytes << ", \"l2_hits\": " << t.l2_hits

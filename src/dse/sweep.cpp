@@ -12,6 +12,7 @@
 #include "core/diag.hpp"
 #include "core/diskstore.hpp"
 #include "dse/shard.hpp"
+#include "json/json.hpp"
 #include "lint/lint.hpp"
 #include "obs/obs.hpp"
 #include "netlist/stitch.hpp"
@@ -21,26 +22,22 @@ namespace syndcim::dse {
 
 namespace {
 
-/// Shortest-round-trip decimal rendering: deterministic for a given
-/// build, readable in the report.
-std::string jnum(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+using json::json_escape;
+using json::json_number;
 
 void point_json(std::ostringstream& os, const FrontierPoint& fp,
                 const core::PerfSpec& spec, const char* indent,
                 bool with_timeline = false) {
   const core::DesignPoint& p = fp.point;
-  os << indent << "{\"label\": \"" << p.label << "\", \"spec_index\": "
-     << fp.spec_index << ", \"point_id\": \"" << fp.point_id
+  os << indent << "{\"label\": \"" << json_escape(p.label)
+     << "\", \"spec_index\": " << fp.spec_index
+     << ", \"point_id\": \"" << fp.point_id
      << "\", \"feasible\": " << (p.feasible ? "true" : "false")
-     << ", \"fmax_mhz\": " << jnum(p.ppa.fmax_mhz)
-     << ", \"power_uw\": " << jnum(p.ppa.power_uw)
-     << ", \"area_um2\": " << jnum(p.ppa.area_um2)
-     << ", \"energy_per_mac_fj\": " << jnum(p.ppa.energy_per_mac_fj)
-     << ", \"tops_1b\": " << jnum(p.ppa.tops_1b)
+     << ", \"fmax_mhz\": " << json_number(p.ppa.fmax_mhz)
+     << ", \"power_uw\": " << json_number(p.ppa.power_uw)
+     << ", \"area_um2\": " << json_number(p.ppa.area_um2)
+     << ", \"energy_per_mac_fj\": " << json_number(p.ppa.energy_per_mac_fj)
+     << ", \"tops_1b\": " << json_number(p.ppa.tops_1b)
      << ", \"latency_cycles\": " << p.ppa.latency_cycles
      // The architecture/clock facts netmap needs to tile and schedule a
      // model against this point without re-deriving the sweep.
@@ -54,12 +51,12 @@ void point_json(std::ostringstream& os, const FrontierPoint& fp,
   for (std::size_t i = 0; i < p.cfg.weight_bits.size(); ++i) {
     os << (i ? ", " : "") << p.cfg.weight_bits[i];
   }
-  os << "], \"mac_mhz\": " << jnum(spec.mac_freq_mhz)
-     << ", \"wupdate_mhz\": " << jnum(spec.wupdate_freq_mhz)
-     << ", \"write_fmax_mhz\": " << jnum(p.ppa.write_fmax_mhz) << "}"
+  os << "], \"mac_mhz\": " << json_number(spec.mac_freq_mhz)
+     << ", \"wupdate_mhz\": " << json_number(spec.wupdate_freq_mhz)
+     << ", \"write_fmax_mhz\": " << json_number(p.ppa.write_fmax_mhz) << "}"
      << ", \"applied\": [";
   for (std::size_t i = 0; i < p.applied.size(); ++i) {
-    os << (i ? ", " : "") << '"' << p.applied[i] << '"';
+    os << (i ? ", " : "") << '"' << json_escape(p.applied[i]) << '"';
   }
   os << "]";
   if (fp.lint_errors >= 0) {
@@ -74,11 +71,12 @@ void point_json(std::ostringstream& os, const FrontierPoint& fp,
 
 void spec_json(std::ostringstream& os, const core::PerfSpec& s) {
   os << "{\"rows\": " << s.rows << ", \"cols\": " << s.cols
-     << ", \"mcr\": " << s.mcr << ", \"mac_mhz\": " << jnum(s.mac_freq_mhz)
-     << ", \"wupdate_mhz\": " << jnum(s.wupdate_freq_mhz)
-     << ", \"vdd\": " << jnum(s.vdd) << ", \"pref\": ["
-     << jnum(s.pref.power) << ", " << jnum(s.pref.area) << ", "
-     << jnum(s.pref.performance) << "]}";
+     << ", \"mcr\": " << s.mcr
+     << ", \"mac_mhz\": " << json_number(s.mac_freq_mhz)
+     << ", \"wupdate_mhz\": " << json_number(s.wupdate_freq_mhz)
+     << ", \"vdd\": " << json_number(s.vdd) << ", \"pref\": ["
+     << json_number(s.pref.power) << ", " << json_number(s.pref.area) << ", "
+     << json_number(s.pref.performance) << "]}";
 }
 
 /// Per-run view of tier statistics against a start-of-run snapshot:
@@ -484,13 +482,13 @@ std::string sweep_report_json(const SweepReport& r) {
   os << "{\n  \"specs\": " << r.per_spec.size()
      << ",\n  \"tasks\": " << r.n_tasks
      << ",\n  \"cancelled\": " << (r.cancelled ? "true" : "false")
-     << ",\n  \"wall_ms\": " << jnum(r.wall_ms)
+     << ",\n  \"wall_ms\": " << json_number(r.wall_ms)
      << ",\n  \"pool\": {\"threads\": " << r.pool.threads
      << ", \"executed\": " << r.pool.executed
      << ", \"stolen\": " << r.pool.stolen << "}"
      << ",\n  \"cache\": {\"hits\": " << r.cache.hits
      << ", \"misses\": " << r.cache.misses
-     << ", \"hit_rate\": " << jnum(r.cache.hit_rate())
+     << ", \"hit_rate\": " << json_number(r.cache.hit_rate())
      << ", \"inflight_waits\": " << r.cache.inflight_waits
      << ", \"entries\": " << r.cache.entries << "}"
      << ",\n  \"artifacts\": {\"hits\": " << r.artifact_hits()
@@ -498,7 +496,7 @@ std::string sweep_report_json(const SweepReport& r) {
   for (std::size_t i = 0; i < r.artifacts.size(); ++i) {
     const core::ArtifactTierStats& t = r.artifacts[i];
     if (i) os << ", ";
-    os << "{\"name\": \"" << t.name << "\", \"hits\": " << t.hits
+    os << "{\"name\": \"" << json_escape(t.name) << "\", \"hits\": " << t.hits
        << ", \"misses\": " << t.misses << ", \"entries\": " << t.entries
        << ", \"evicted\": " << t.evicted << ", \"l2_hits\": " << t.l2_hits
        << ", \"l2_misses\": " << t.l2_misses

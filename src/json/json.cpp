@@ -1,4 +1,4 @@
-#include "serve/json.hpp"
+#include "json/json.hpp"
 
 #include <cctype>
 #include <cmath>
@@ -6,7 +6,7 @@
 #include <cstdlib>
 #include <sstream>
 
-namespace syndcim::serve {
+namespace syndcim::json {
 
 namespace {
 
@@ -357,14 +357,9 @@ std::string json_escape(std::string_view s) {
 }
 
 std::string json_number(double v) {
-  if (std::isfinite(v) && v == std::nearbyint(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
 
-}  // namespace syndcim::serve
+}  // namespace syndcim::json

@@ -44,6 +44,20 @@ std::vector<std::string> Design::module_names() const {
   return out;
 }
 
+std::vector<std::string> Design::root_modules() const {
+  std::set<std::string_view> used;
+  for (const auto& [name, m] : modules_) {
+    for (const auto& inst : m.instances()) {
+      if (!inst.is_cell) used.insert(inst.master);
+    }
+  }
+  std::vector<std::string> out;
+  for (const auto& [name, m] : modules_) {
+    if (!used.contains(name)) out.push_back(name);
+  }
+  return out;
+}
+
 namespace {
 void validate_module(const Design& d, const Module& m,
                      std::set<std::string>& visited,

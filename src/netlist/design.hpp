@@ -19,6 +19,9 @@ class Design {
   [[nodiscard]] Module& module(std::string_view name);
   [[nodiscard]] bool has_module(std::string_view name) const;
   [[nodiscard]] std::vector<std::string> module_names() const;
+  /// Modules never instantiated as a submodule, in name order: the
+  /// candidates for the top module. One root means the top is unambiguous.
+  [[nodiscard]] std::vector<std::string> root_modules() const;
 
  private:
   std::map<std::string, Module, std::less<>> modules_;

@@ -5,14 +5,14 @@
 #include <set>
 #include <sstream>
 
+#include "json/json.hpp"
 #include "obs/obs.hpp"
-#include "serve/json.hpp"
 
 namespace syndcim::netmap {
 
 namespace {
 
-using serve::JsonValue;
+using json::JsonValue;
 
 /// Integral member in [lo, hi]; reports NETMAP-BADSHAPE and returns
 /// nullopt-like failure via the bool.
@@ -32,7 +32,7 @@ bool read_long(const JsonValue& layer, const char* key, long lo, long hi,
     diag.error("NETMAP-BADSHAPE",
                std::string("'") + key + "' must be an integer in [" +
                    std::to_string(lo) + ", " + std::to_string(hi) + "], got " +
-                   serve::json_number(d),
+                   json::json_number(d),
                lname, source);
     return false;
   }
@@ -117,7 +117,7 @@ Model parse_model(const std::string& json_text, core::DiagEngine& diag,
   Model model;
   JsonValue doc;
   std::string err;
-  if (!serve::json_parse(json_text, &doc, &err) || !doc.is_object()) {
+  if (!json::json_parse(json_text, &doc, &err) || !doc.is_object()) {
     diag.error("NETMAP-BADJSON",
                err.empty() ? "model is not a JSON object" : err, "", source);
     return model;

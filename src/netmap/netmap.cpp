@@ -2,24 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 
+#include "json/json.hpp"
 #include "obs/obs.hpp"
-#include "serve/json.hpp"
 
 namespace syndcim::netmap {
 
 namespace {
 
-std::string jnum(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+using json::json_number;
 
 /// Dynamic-energy activity scaling: a fully dense operand stream toggles
 /// ~1.6x the characterization activity, an almost-empty one still burns
@@ -188,25 +183,25 @@ std::vector<MacroCandidate> candidates_from_frontier_json(
     const std::string& json_text, core::DiagEngine& diag,
     const std::string& source) {
   std::vector<MacroCandidate> out;
-  serve::JsonValue doc;
+  json::JsonValue doc;
   std::string err;
-  if (!serve::json_parse(json_text, &doc, &err) || !doc.is_object()) {
+  if (!json::json_parse(json_text, &doc, &err) || !doc.is_object()) {
     diag.error("NETMAP-BADFRONTIER",
                err.empty() ? "frontier is not a JSON object" : err, "",
                source);
     return out;
   }
-  const serve::JsonValue* frontier = doc.find("frontier");
+  const json::JsonValue* frontier = doc.find("frontier");
   if (frontier == nullptr || !frontier->is_array()) {
     diag.error("NETMAP-BADFRONTIER", "document has no 'frontier' array", "",
                source);
     return out;
   }
   for (std::size_t i = 0; i < frontier->size(); ++i) {
-    const serve::JsonValue& p = frontier->at(i);
+    const json::JsonValue& p = frontier->at(i);
     const std::string object = "frontier[" + std::to_string(i) + "]";
-    const serve::JsonValue* id = p.find("point_id");
-    const serve::JsonValue* macro = p.find("macro");
+    const json::JsonValue* id = p.find("point_id");
+    const json::JsonValue* macro = p.find("macro");
     if (id == nullptr || !id->is_string() || macro == nullptr ||
         !macro->is_object()) {
       diag.error("NETMAP-BADFRONTIER",
@@ -215,25 +210,25 @@ std::vector<MacroCandidate> candidates_from_frontier_json(
                  object, source);
       continue;
     }
-    if (const serve::JsonValue* f = p.find("feasible");
+    if (const json::JsonValue* f = p.find("feasible");
         f != nullptr && f->is_bool() && !f->as_bool()) {
       continue;
     }
     MacroCandidate c;
     c.point_id = id->as_string();
-    if (const serve::JsonValue* l = p.find("label"); l && l->is_string()) {
+    if (const json::JsonValue* l = p.find("label"); l && l->is_string()) {
       c.label = l->as_string();
     }
-    const auto num = [&](const serve::JsonValue& obj, const char* key,
+    const auto num = [&](const json::JsonValue& obj, const char* key,
                          double fallback) {
-      const serve::JsonValue* v = obj.find(key);
+      const json::JsonValue* v = obj.find(key);
       return v != nullptr ? v->as_number(fallback) : fallback;
     };
     c.rows = static_cast<int>(num(*macro, "rows", 0));
     c.cols = static_cast<int>(num(*macro, "cols", 0));
     c.mcr = static_cast<int>(num(*macro, "mcr", 1));
     const auto bits_list = [&](const char* key, std::vector<int>* dst) {
-      const serve::JsonValue* v = macro->find(key);
+      const json::JsonValue* v = macro->find(key);
       if (v == nullptr || !v->is_array()) return;
       for (std::size_t j = 0; j < v->size(); ++j) {
         dst->push_back(static_cast<int>(v->at(j).as_number(0)));
@@ -541,7 +536,7 @@ NetmapResult run_netmap(const Model& model,
 std::string netmap_report_json(const NetmapResult& r) {
   std::ostringstream os;
   const auto jstr = [](const std::string& s) {
-    return "\"" + serve::json_escape(s) + "\"";
+    return "\"" + json::json_escape(s) + "\"";
   };
   const long macs = r.model.total_macs();
   os << "{\n  \"format\": \"syndcim-netmap\",\n  \"version\": 1"
@@ -549,7 +544,7 @@ std::string netmap_report_json(const NetmapResult& r) {
      << ", \"layers\": " << r.model.layers.size() << ", \"macs\": " << macs
      << "}"
      << ",\n  \"budget\": {\"max_macros\": " << r.budget.max_macros
-     << ", \"max_area_um2\": " << jnum(r.budget.max_area_um2) << "}"
+     << ", \"max_area_um2\": " << json_number(r.budget.max_area_um2) << "}"
      << ",\n  \"candidates\": " << r.candidates.size()
      << ",\n  \"fallback_homog\": " << (r.fallback_homog ? "true" : "false")
      << ",\n  \"fleet\": [\n";
@@ -561,10 +556,10 @@ std::string netmap_report_json(const NetmapResult& r) {
        << ", \"label\": " << jstr(c.label) << ", \"rows\": " << c.rows
        << ", \"cols\": " << c.cols << ", \"mcr\": " << c.mcr
        << ", \"count\": " << e.count
-       << ", \"area_um2\": " << jnum(e.area_um2) << "}";
+       << ", \"area_um2\": " << json_number(e.area_um2) << "}";
   }
   os << "\n  ],\n  \"fleet_macros\": " << r.fleet_macros
-     << ",\n  \"fleet_area_um2\": " << jnum(r.fleet_area_um2)
+     << ",\n  \"fleet_area_um2\": " << json_number(r.fleet_area_um2)
      << ",\n  \"layers\": [\n";
   for (std::size_t i = 0; i < r.layers.size(); ++i) {
     const LayerAssignment& a = r.layers[i];
@@ -583,23 +578,23 @@ std::string netmap_report_json(const NetmapResult& r) {
        << ", \"tiles\": " << a.grid.tiles()
        << ", \"mac_cycles\": " << a.sched.total_mac_cycles
        << ", \"load_cycles\": " << a.sched.total_load_cycles
-       << ", \"dead_cycles\": " << jnum(a.sched.dead_cycles)
+       << ", \"dead_cycles\": " << json_number(a.sched.dead_cycles)
        << ", \"double_buffered\": "
        << (a.sched.double_buffered ? "true" : "false")
-       << ", \"time_us\": " << jnum(a.time_us)
-       << ", \"mac_energy_pj\": " << jnum(a.mac_energy_pj)
-       << ", \"write_energy_pj\": " << jnum(a.write_energy_pj)
-       << ", \"dead_energy_pj\": " << jnum(a.dead_energy_pj)
-       << ", \"energy_pj\": " << jnum(a.energy_pj())
-       << ", \"utilization\": " << jnum(a.utilization) << "}";
+       << ", \"time_us\": " << json_number(a.time_us)
+       << ", \"mac_energy_pj\": " << json_number(a.mac_energy_pj)
+       << ", \"write_energy_pj\": " << json_number(a.write_energy_pj)
+       << ", \"dead_energy_pj\": " << json_number(a.dead_energy_pj)
+       << ", \"energy_pj\": " << json_number(a.energy_pj())
+       << ", \"utilization\": " << json_number(a.utilization) << "}";
   }
-  os << "\n  ],\n  \"total\": {\"time_us\": " << jnum(r.total_time_us)
-     << ", \"energy_pj\": " << jnum(r.total_energy_pj)
+  os << "\n  ],\n  \"total\": {\"time_us\": " << json_number(r.total_time_us)
+     << ", \"energy_pj\": " << json_number(r.total_energy_pj)
      << ", \"energy_per_mac_fj\": "
-     << jnum(macs > 0 ? r.total_energy_pj * 1000.0 /
+     << json_number(macs > 0 ? r.total_energy_pj * 1000.0 /
                             static_cast<double>(macs)
                       : 0.0)
-     << ", \"utilization\": " << jnum(r.utilization)
+     << ", \"utilization\": " << json_number(r.utilization)
      << ", \"macs\": " << macs << "}";
   os << ",\n  \"homog_baseline\": ";
   if (r.homog.valid) {
@@ -607,8 +602,8 @@ std::string netmap_report_json(const NetmapResult& r) {
     os << "{\"valid\": true, \"point_id\": " << jstr(c.point_id)
        << ", \"label\": " << jstr(c.label)
        << ", \"count\": " << r.homog.count
-       << ", \"time_us\": " << jnum(r.homog.time_us)
-       << ", \"energy_pj\": " << jnum(r.homog.energy_pj) << "}";
+       << ", \"time_us\": " << json_number(r.homog.time_us)
+       << ", \"energy_pj\": " << json_number(r.homog.energy_pj) << "}";
   } else {
     os << "{\"valid\": false}";
   }

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "json/json.hpp"
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
@@ -45,37 +47,8 @@ long peak_rss_kb() {
 
 namespace {
 
-/// Minimal JSON string escaping (obs is dependency-free by design, so it
-/// does not reuse core/diag's escaper).
-std::string jesc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string jnum(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+using json::json_escape;
+using json::json_number;
 
 /// Microseconds with ns resolution — the Chrome trace `ts`/`dur` unit.
 std::string jus(std::uint64_t ns) {
@@ -189,14 +162,14 @@ std::string Tracer::to_json() const {
       first = false;
       os << "    {\"ph\": \"M\", \"pid\": 1, \"tid\": " << buf->tid
          << ", \"name\": \"thread_name\", \"args\": {\"name\": \""
-         << jesc(buf->thread_name) << "\"}}";
+         << json_escape(buf->thread_name) << "\"}}";
     }
   }
   for (const RecordedSpan& s : spans) {
     if (!first) os << ",\n";
     first = false;
     os << "    {\"ph\": \"X\", \"pid\": 1, \"tid\": " << s.tid
-       << ", \"name\": \"" << jesc(s.ev.name) << "\", \"ts\": "
+       << ", \"name\": \"" << json_escape(s.ev.name) << "\", \"ts\": "
        << jus(s.ev.start_ns) << ", \"dur\": " << jus(s.ev.dur_ns) << "}";
   }
   os << "\n  ]\n}\n";
@@ -300,28 +273,29 @@ std::string MetricsRegistry::to_json() const {
   os << "{\n  \"format\": \"syndcim-metrics\",\n  \"version\": 1,\n"
      << "  \"counters\": {";
   for (std::size_t i = 0; i < counters_.size(); ++i) {
-    os << (i ? ",\n    " : "\n    ") << "\"" << jesc(counters_[i].first)
+    os << (i ? ",\n    " : "\n    ") << "\""
+       << json_escape(counters_[i].first)
        << "\": " << counters_[i].second->value();
   }
   os << (counters_.empty() ? "}" : "\n  }") << ",\n  \"gauges\": {";
   for (std::size_t i = 0; i < gauges_.size(); ++i) {
-    os << (i ? ",\n    " : "\n    ") << "\"" << jesc(gauges_[i].first)
-       << "\": " << jnum(gauges_[i].second->value());
+    os << (i ? ",\n    " : "\n    ") << "\"" << json_escape(gauges_[i].first)
+       << "\": " << json_number(gauges_[i].second->value());
   }
   os << (gauges_.empty() ? "}" : "\n  }") << ",\n  \"histograms\": {";
   for (std::size_t i = 0; i < hists_.size(); ++i) {
     const Histogram& h = *hists_[i].second;
-    os << (i ? ",\n    " : "\n    ") << "\"" << jesc(hists_[i].first)
+    os << (i ? ",\n    " : "\n    ") << "\"" << json_escape(hists_[i].first)
        << "\": {\"bounds\": [";
     for (std::size_t b = 0; b < h.bounds().size(); ++b) {
-      os << (b ? ", " : "") << jnum(h.bounds()[b]);
+      os << (b ? ", " : "") << json_number(h.bounds()[b]);
     }
     os << "], \"counts\": [";
     for (std::size_t b = 0; b < h.bucket_count(); ++b) {
       os << (b ? ", " : "") << h.count_in_bucket(b);
     }
     os << "], \"count\": " << h.total_count()
-       << ", \"sum\": " << jnum(h.sum()) << "}";
+       << ", \"sum\": " << json_number(h.sum()) << "}";
   }
   os << (hists_.empty() ? "}" : "\n  }") << "\n}\n";
   return os.str();
@@ -357,9 +331,9 @@ std::string PhaseTimeline::to_json() const {
   os << "[";
   for (std::size_t i = 0; i < phases.size(); ++i) {
     const Phase& p = phases[i];
-    os << (i ? ", " : "") << "{\"name\": \"" << jesc(p.name)
-       << "\", \"start_ms\": " << jnum(p.start_ms)
-       << ", \"dur_ms\": " << jnum(p.dur_ms)
+    os << (i ? ", " : "") << "{\"name\": \"" << json_escape(p.name)
+       << "\", \"start_ms\": " << json_number(p.start_ms)
+       << ", \"dur_ms\": " << json_number(p.dur_ms)
        << ", \"rss_peak_kb\": " << p.rss_peak_kb << "}";
   }
   os << "]";

@@ -11,6 +11,11 @@
 
 namespace syndcim::serve {
 
+using json::JsonValue;
+using json::json_escape;
+using json::json_number;
+using json::json_parse;
+
 namespace {
 
 /// One request line (no trailing newline) — shared by both clients.

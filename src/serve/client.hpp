@@ -12,7 +12,7 @@
 #include <string>
 #include <thread>
 
-#include "serve/json.hpp"
+#include "json/json.hpp"
 #include "serve/protocol.hpp"
 
 namespace syndcim::serve {
@@ -20,11 +20,11 @@ namespace syndcim::serve {
 /// One parsed response line.
 struct ClientResponse {
   bool ok = false;
-  int code = 0;         ///< error code when !ok (400/404/408/429/500/503)
-  std::string reason;   ///< error reason when !ok
-  std::string id;       ///< echoed request id
-  JsonValue result;     ///< `result` object when ok
-  std::string raw;      ///< the full response line, verbatim
+  int code = 0;            ///< error code when !ok (400/404/408/429/500/503)
+  std::string reason;      ///< error reason when !ok
+  std::string id;          ///< echoed request id
+  json::JsonValue result;  ///< `result` object when ok
+  std::string raw;         ///< the full response line, verbatim
 };
 
 class Client {

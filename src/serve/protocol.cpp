@@ -4,6 +4,10 @@
 
 namespace syndcim::serve {
 
+using json::JsonValue;
+using json::json_escape;
+using json::json_parse;
+
 bool parse_request(const std::string& line, Request* out, std::string* err) {
   JsonValue v;
   if (!json_parse(line, &v, err)) return false;

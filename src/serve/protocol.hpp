@@ -25,7 +25,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "serve/json.hpp"
+#include "json/json.hpp"
 
 namespace syndcim::serve {
 
@@ -55,7 +55,7 @@ struct Request {
   std::string id;          ///< echoed verbatim in the response ("" ok)
   std::string method;
   double deadline_ms = 0;  ///< <= 0: server default (which may be none)
-  JsonValue params;        ///< object; kNull when the line had none
+  json::JsonValue params;  ///< object; kNull when the line had none
 };
 
 /// Parses one request line. On failure returns false with a reason in
@@ -67,7 +67,7 @@ struct Request {
 /// are rendered — `"rows": 64` and `"rows": "64"` are equivalent on the
 /// wire). Throws std::invalid_argument on nested arrays/objects.
 [[nodiscard]] std::map<std::string, std::string> params_to_kv(
-    const JsonValue& params);
+    const json::JsonValue& params);
 
 /// `result_json` is spliced verbatim as the `result` member — it must be
 /// one self-contained single-line JSON value.

@@ -17,6 +17,7 @@
 #include "core/compiler.hpp"
 #include "core/spec.hpp"
 #include "dse/sweep.hpp"
+#include "json/json.hpp"
 #include "lint/lint.hpp"
 #include "netlist/verilog_parser.hpp"
 #include "netmap/model.hpp"
@@ -24,6 +25,10 @@
 #include "obs/obs.hpp"
 
 namespace syndcim::serve {
+
+using json::JsonValue;
+using json::json_escape;
+using json::json_number;
 
 namespace {
 
@@ -179,6 +184,13 @@ void Server::acceptor_loop() {
     if (fd < 0) continue;
 
     std::lock_guard<std::mutex> lock(conns_mu_);
+    // Reap connections whose reader has finished, so a long-running
+    // daemon keeps no thread or buffer per closed connection.
+    std::erase_if(conns_, [](const std::shared_ptr<Connection>& c) {
+      if (!c->finished.load()) return false;
+      c->reader.join();
+      return true;
+    });
     std::size_t open = 0;
     for (const auto& c : conns_) {
       if (c->open.load()) ++open;
@@ -194,7 +206,7 @@ void Server::acceptor_loop() {
     }
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
-    conn->id = conns_.size() + 1;
+    conn->id = next_conn_id_++;
     conns_.push_back(conn);
     obs::metrics().counter("serve.conn.accepted").inc();
     conn->reader = std::thread([this, conn] { reader_loop(conn); });
@@ -248,11 +260,19 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
   while (conn->pending.load() > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  std::lock_guard<std::mutex> lock(conn->write_mu);
-  if (conn->fd >= 0) {
-    ::close(conn->fd);
-    conn->fd = -1;
+  {
+    std::lock_guard<std::mutex> lock(conn->write_mu);
+    if (conn->fd >= 0) {
+      ::close(conn->fd);
+      conn->fd = -1;
+    }
   }
+  conn->finished.store(true);
+}
+
+std::size_t Server::tracked_connections() {
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  return conns_.size();
 }
 
 void Server::admit(const std::shared_ptr<Connection>& conn, Request req) {
@@ -572,20 +592,10 @@ std::string Server::handle_lint(const Request& req) {
   // Top inference mirrors the CLI: the unique module that is never
   // instantiated as a submodule.
   if (top.empty()) {
-    const std::vector<std::string> modules = design.module_names();
-    std::vector<std::string> roots;
-    for (const std::string& name : modules) {
-      bool used = false;
-      for (const std::string& other : modules) {
-        for (const auto& inst : design.module(other).instances()) {
-          used = used || (!inst.is_cell && inst.master == name);
-        }
-      }
-      if (!used) roots.push_back(name);
-    }
+    const std::vector<std::string> roots = design.root_modules();
     if (roots.size() == 1) {
       top = roots.front();
-    } else if (modules.empty()) {
+    } else if (design.module_names().empty()) {
       diag.error("LINT-STRUCT", "netlist contains no modules", "<request>",
                  "lint");
     } else {

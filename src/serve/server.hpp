@@ -109,6 +109,9 @@ class Server {
   /// The durable L2 blob store, or nullptr when no store_dir was given
   /// (test/introspection hook).
   [[nodiscard]] core::DiskBlobStore* blob_store() { return disk_.get(); }
+  /// Connections still tracked: open ones, plus closed ones the acceptor
+  /// has not reaped yet (test/introspection hook).
+  [[nodiscard]] std::size_t tracked_connections();
 
  private:
   struct Connection {
@@ -119,6 +122,8 @@ class Server {
     /// Requests admitted from this connection whose response is not yet
     /// written; the reader defers close() until it reaches zero.
     std::atomic<int> pending{0};
+    /// Set by the reader as its last action; the acceptor then joins it.
+    std::atomic<bool> finished{false};
     std::thread reader;
   };
 
@@ -169,6 +174,7 @@ class Server {
   std::thread acceptor_;
   std::mutex conns_mu_;
   std::vector<std::shared_ptr<Connection>> conns_;
+  std::uint64_t next_conn_id_ = 1;  ///< guarded by conns_mu_
 
   std::atomic<bool> started_{false};
   std::atomic<bool> drain_requested_{false};

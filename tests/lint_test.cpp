@@ -8,6 +8,7 @@
 #include "cell/characterize.hpp"
 #include "cell/liberty_parser.hpp"
 #include "core/diag.hpp"
+#include "json/json.hpp"
 #include "layout/floorplan.hpp"
 #include "lint/lint.hpp"
 #include "netlist/flatten.hpp"
@@ -327,19 +328,33 @@ TEST(Lint, FloorplanRejectsMalformedColumnGroupNames) {
 }
 
 TEST(Lint, JsonReportCarriesCountsAndFindings) {
+  // Every control byte plus quote and backslash, in one message.
+  std::string awkward;
+  for (char c = 0x01; c < 0x20; ++c) awkward.push_back(c);
+  awkward += "\"\\";
   core::DiagEngine diag;
   diag.error("LINT-MULTIDRIVE", "net has 2 drivers", "n\"1", "colA");
   diag.warning("LINT-CDC", "crossing", "pin", "colB");
   diag.info("LINT-DANGLING", "unused");
+  diag.info("LINT-DANGLING", awkward);
   const std::string json = diag.to_json();
   EXPECT_NE(json.find("\"format\": \"syndcim-diagnostics\""),
             std::string::npos);
   EXPECT_NE(json.find("\"errors\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"warnings\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"notes\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"notes\": 2"), std::string::npos);
   // Quotes inside object names are escaped.
   EXPECT_NE(json.find("n\\\"1"), std::string::npos);
   EXPECT_NE(json.find("\"rule\": \"LINT-CDC\""), std::string::npos);
+  // The shared parser recovers every escaped string exactly.
+  json::JsonValue doc;
+  std::string err;
+  ASSERT_TRUE(json::json_parse(json, &doc, &err)) << err << "\n" << json;
+  const json::JsonValue* list = doc.find("diagnostics");
+  ASSERT_NE(list, nullptr);
+  ASSERT_EQ(list->size(), 4u);
+  EXPECT_EQ(list->at(0).find("object")->as_string(), "n\"1");
+  EXPECT_EQ(list->at(3).find("message")->as_string(), awkward);
 }
 
 TEST(Lint, LibertyDiagnosticsFlowThroughTheSharedEngine) {

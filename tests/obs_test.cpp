@@ -1,196 +1,22 @@
 // src/obs: span recording and thread attribution, Chrome-trace JSON
-// well-formedness (round-trip parsed by a minimal JSON reader), metric
+// well-formedness (round-trip parsed by the shared JSON parser), metric
 // counter/gauge/histogram semantics (including concurrent increments —
 // exercised under the sanitizer CI legs), and phase timelines.
 #include "obs/obs.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cmath>
-#include <cstring>
-#include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "json/json.hpp"
+
 using namespace syndcim;
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Minimal strict JSON parser — enough to round-trip the obs dumps and
-// fail on any malformed output (trailing commas, bad escapes, ...).
-// ---------------------------------------------------------------------------
-
-struct JsonValue {
-  enum Kind { kNull, kBool, kNumber, kString, kArray, kObject } kind = kNull;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<JsonValue> arr;
-  std::map<std::string, JsonValue> obj;
-
-  const JsonValue* get(const std::string& key) const {
-    const auto it = obj.find(key);
-    return it == obj.end() ? nullptr : &it->second;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& s) : s_(s) {}
-
-  bool parse(JsonValue& out) {
-    skip_ws();
-    if (!value(out)) return false;
-    skip_ws();
-    return pos_ == s_.size();  // no trailing garbage
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(
-                                   s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool literal(const char* lit) {
-    const std::size_t n = std::strlen(lit);
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-  bool value(JsonValue& out) {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object(out);
-      case '[': return array(out);
-      case '"': out.kind = JsonValue::kString; return string(out.str);
-      case 't': out.kind = JsonValue::kBool; out.b = true;
-                return literal("true");
-      case 'f': out.kind = JsonValue::kBool; out.b = false;
-                return literal("false");
-      case 'n': out.kind = JsonValue::kNull; return literal("null");
-      default:  out.kind = JsonValue::kNumber; return number(out.num);
-    }
-  }
-  bool number(double& out) {
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    try {
-      std::size_t used = 0;
-      out = std::stod(s_.substr(start, pos_ - start), &used);
-      return used == pos_ - start && std::isfinite(out);
-    } catch (const std::exception&) {
-      return false;
-    }
-  }
-  bool string(std::string& out) {
-    if (s_[pos_] != '"') return false;
-    ++pos_;
-    out.clear();
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') {
-        if (pos_ + 1 >= s_.size()) return false;
-        const char e = s_[pos_ + 1];
-        if (e == 'u') {
-          if (pos_ + 5 >= s_.size()) return false;
-          for (int k = 0; k < 4; ++k) {
-            if (!std::isxdigit(static_cast<unsigned char>(
-                    s_[pos_ + 2 + k]))) {
-              return false;
-            }
-          }
-          out += '?';  // codepoint value irrelevant for these tests
-          pos_ += 6;
-          continue;
-        }
-        if (e != '"' && e != '\\' && e != '/' && e != 'b' && e != 'f' &&
-            e != 'n' && e != 'r' && e != 't') {
-          return false;
-        }
-        out += e;
-        pos_ += 2;
-        continue;
-      }
-      out += s_[pos_++];
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-  bool array(JsonValue& out) {
-    out.kind = JsonValue::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue v;
-      skip_ws();
-      if (!value(v)) return false;
-      out.arr.push_back(std::move(v));
-      skip_ws();
-      if (pos_ >= s_.size()) return false;
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-  bool object(JsonValue& out) {
-    out.kind = JsonValue::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (pos_ >= s_.size() || !string(key)) return false;
-      skip_ws();
-      if (pos_ >= s_.size() || s_[pos_] != ':') return false;
-      ++pos_;
-      skip_ws();
-      JsonValue v;
-      if (!value(v)) return false;
-      out.obj[key] = std::move(v);
-      skip_ws();
-      if (pos_ >= s_.size()) return false;
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
 
 /// Fresh obs state for every test: the tracer/metrics singletons are
 /// process-global, so tests scrub them and restore the disabled default.
@@ -299,41 +125,54 @@ TEST_F(ObsTest, DynamicSpanNamesAndManyEventsCrossChunks) {
 TEST_F(ObsTest, TraceJsonRoundTrips) {
   OBS_REQUIRE_COMPILED_IN();
   obs::set_enabled(true);
-  obs::tracer().set_thread_name("json \"escaped\" \\ name");
+  const std::string thread_name = "json \"escaped\" \\ name";
+  std::vector<std::string> span_names = {"phase.one", "phase\nwith\tescapes"};
+  obs::tracer().set_thread_name(thread_name);
   {
     OBS_SPAN("phase.one");
     OBS_SPAN("phase\nwith\tescapes");
   }
-  const std::string json = obs::tracer().to_json();
-  JsonValue root;
-  ASSERT_TRUE(JsonParser(json).parse(root)) << json;
-  ASSERT_EQ(root.kind, JsonValue::kObject);
-  ASSERT_NE(root.get("format"), nullptr);
-  EXPECT_EQ(root.get("format")->str, "syndcim-trace");
-  ASSERT_NE(root.get("version"), nullptr);
-  EXPECT_EQ(root.get("version")->num, 1.0);
-  const JsonValue* events = root.get("traceEvents");
+  const std::string text = obs::tracer().to_json();
+  json::JsonValue root;
+  std::string err;
+  ASSERT_TRUE(json::json_parse(text, &root, &err)) << err << "\n" << text;
+  ASSERT_TRUE(root.is_object());
+  ASSERT_NE(root.find("format"), nullptr);
+  EXPECT_EQ(root.find("format")->as_string(), "syndcim-trace");
+  ASSERT_NE(root.find("version"), nullptr);
+  EXPECT_EQ(root.find("version")->as_number(), 1.0);
+  const json::JsonValue* events = root.find("traceEvents");
   ASSERT_NE(events, nullptr);
-  ASSERT_EQ(events->kind, JsonValue::kArray);
+  ASSERT_TRUE(events->is_array());
   std::size_t complete = 0, meta = 0;
-  for (const JsonValue& e : events->arr) {
-    ASSERT_EQ(e.kind, JsonValue::kObject);
-    ASSERT_NE(e.get("ph"), nullptr);
-    ASSERT_NE(e.get("pid"), nullptr);
-    ASSERT_NE(e.get("tid"), nullptr);
-    ASSERT_NE(e.get("name"), nullptr);
-    if (e.get("ph")->str == "X") {
+  std::vector<std::string> decoded_spans;
+  for (std::size_t i = 0; i < events->size(); ++i) {
+    const json::JsonValue& e = events->at(i);
+    ASSERT_TRUE(e.is_object());
+    ASSERT_NE(e.find("ph"), nullptr);
+    ASSERT_NE(e.find("pid"), nullptr);
+    ASSERT_NE(e.find("tid"), nullptr);
+    ASSERT_NE(e.find("name"), nullptr);
+    if (e.find("ph")->as_string() == "X") {
       ++complete;
-      ASSERT_NE(e.get("ts"), nullptr);
-      ASSERT_NE(e.get("dur"), nullptr);
-      EXPECT_GE(e.get("dur")->num, 0.0);
-    } else if (e.get("ph")->str == "M") {
+      ASSERT_NE(e.find("ts"), nullptr);
+      ASSERT_NE(e.find("dur"), nullptr);
+      EXPECT_GE(e.find("dur")->as_number(), 0.0);
+      decoded_spans.push_back(e.find("name")->as_string());
+    } else if (e.find("ph")->as_string() == "M") {
       ++meta;
-      EXPECT_EQ(e.get("name")->str, "thread_name");
+      EXPECT_EQ(e.find("name")->as_string(), "thread_name");
+      // The escaped thread name decodes back to the original bytes.
+      ASSERT_NE(e.find("args"), nullptr);
+      ASSERT_NE(e.find("args")->find("name"), nullptr);
+      EXPECT_EQ(e.find("args")->find("name")->as_string(), thread_name);
     }
   }
   EXPECT_EQ(complete, 2u);
   EXPECT_EQ(meta, 1u);
+  std::sort(span_names.begin(), span_names.end());
+  std::sort(decoded_spans.begin(), decoded_spans.end());
+  EXPECT_EQ(decoded_spans, span_names);
 }
 
 // ---------------------------------------------------------------------------
@@ -428,44 +267,46 @@ TEST_F(ObsTest, MetricsJsonRoundTrips) {
   h.observe(0.0);
   h.observe(5.0);
 
-  const std::string json = obs::metrics().to_json();
-  JsonValue root;
-  ASSERT_TRUE(JsonParser(json).parse(root)) << json;
-  ASSERT_NE(root.get("format"), nullptr);
-  EXPECT_EQ(root.get("format")->str, "syndcim-metrics");
-  ASSERT_NE(root.get("version"), nullptr);
-  EXPECT_EQ(root.get("version")->num, 1.0);
+  const std::string text = obs::metrics().to_json();
+  json::JsonValue root;
+  std::string err;
+  ASSERT_TRUE(json::json_parse(text, &root, &err)) << err << "\n" << text;
+  ASSERT_NE(root.find("format"), nullptr);
+  EXPECT_EQ(root.find("format")->as_string(), "syndcim-metrics");
+  ASSERT_NE(root.find("version"), nullptr);
+  EXPECT_EQ(root.find("version")->as_number(), 1.0);
 
-  const JsonValue* counters = root.get("counters");
+  const json::JsonValue* counters = root.find("counters");
   ASSERT_NE(counters, nullptr);
-  ASSERT_NE(counters->get("dse.cache.hit"), nullptr);
-  EXPECT_EQ(counters->get("dse.cache.hit")->num, 7.0);
+  ASSERT_NE(counters->find("dse.cache.hit"), nullptr);
+  EXPECT_EQ(counters->find("dse.cache.hit")->as_number(), 7.0);
 
-  const JsonValue* gauges = root.get("gauges");
+  const json::JsonValue* gauges = root.find("gauges");
   ASSERT_NE(gauges, nullptr);
-  ASSERT_NE(gauges->get("compile.rss.peak_kb"), nullptr);
-  EXPECT_EQ(gauges->get("compile.rss.peak_kb")->num, 12345.0);
+  ASSERT_NE(gauges->find("compile.rss.peak_kb"), nullptr);
+  EXPECT_EQ(gauges->find("compile.rss.peak_kb")->as_number(), 12345.0);
 
-  const JsonValue* hists = root.get("histograms");
+  const json::JsonValue* hists = root.find("histograms");
   ASSERT_NE(hists, nullptr);
-  const JsonValue* hd = hists->get("dse.pool.queue_depth");
+  const json::JsonValue* hd = hists->find("dse.pool.queue_depth");
   ASSERT_NE(hd, nullptr);
-  ASSERT_NE(hd->get("bounds"), nullptr);
-  ASSERT_EQ(hd->get("bounds")->arr.size(), 2u);
-  ASSERT_NE(hd->get("counts"), nullptr);
-  ASSERT_EQ(hd->get("counts")->arr.size(), 3u);
-  EXPECT_EQ(hd->get("counts")->arr[0].num, 1.0);
-  EXPECT_EQ(hd->get("counts")->arr[2].num, 1.0);
-  ASSERT_NE(hd->get("count"), nullptr);
-  EXPECT_EQ(hd->get("count")->num, 2.0);
+  ASSERT_NE(hd->find("bounds"), nullptr);
+  ASSERT_EQ(hd->find("bounds")->size(), 2u);
+  ASSERT_NE(hd->find("counts"), nullptr);
+  ASSERT_EQ(hd->find("counts")->size(), 3u);
+  EXPECT_EQ(hd->find("counts")->at(0).as_number(), 1.0);
+  EXPECT_EQ(hd->find("counts")->at(2).as_number(), 1.0);
+  ASSERT_NE(hd->find("count"), nullptr);
+  EXPECT_EQ(hd->find("count")->as_number(), 2.0);
 }
 
 TEST_F(ObsTest, EmptyRegistryJsonIsWellFormed) {
-  const std::string json = obs::metrics().to_json();
-  JsonValue root;
-  ASSERT_TRUE(JsonParser(json).parse(root)) << json;
-  ASSERT_NE(root.get("counters"), nullptr);
-  EXPECT_TRUE(root.get("counters")->obj.empty());
+  const std::string text = obs::metrics().to_json();
+  json::JsonValue root;
+  std::string err;
+  ASSERT_TRUE(json::json_parse(text, &root, &err)) << err << "\n" << text;
+  ASSERT_NE(root.find("counters"), nullptr);
+  EXPECT_TRUE(root.find("counters")->members().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -492,12 +333,14 @@ TEST_F(ObsTest, PhaseTimelineRecordsOrderedPhases) {
 #endif
 
   // Timeline JSON parses and carries the recorded names.
-  JsonValue root;
-  ASSERT_TRUE(JsonParser(tl.to_json()).parse(root)) << tl.to_json();
-  ASSERT_EQ(root.kind, JsonValue::kArray);
-  ASSERT_EQ(root.arr.size(), 2u);
-  EXPECT_EQ(root.arr[0].get("name")->str, "rtlgen");
-  EXPECT_EQ(root.arr[1].get("name")->str, "sta");
+  json::JsonValue root;
+  std::string err;
+  ASSERT_TRUE(json::json_parse(tl.to_json(), &root, &err))
+      << err << "\n" << tl.to_json();
+  ASSERT_TRUE(root.is_array());
+  ASSERT_EQ(root.size(), 2u);
+  EXPECT_EQ(root.at(0).find("name")->as_string(), "rtlgen");
+  EXPECT_EQ(root.at(1).find("name")->as_string(), "sta");
 }
 
 TEST_F(ObsTest, PhaseScopeEmitsTraceSpanWhenEnabled) {

@@ -27,11 +27,11 @@
 #include "core/cancel.hpp"
 #include "core/diag.hpp"
 #include "dse/sweep.hpp"
+#include "json/json.hpp"
 #include "netmap/model.hpp"
 #include "netmap/netmap.hpp"
 #include "obs/obs.hpp"
 #include "serve/client.hpp"
-#include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/singleflight.hpp"
@@ -153,10 +153,10 @@ class RawConn {
 };
 
 /// Parses one response line; fails the test on malformed JSON.
-serve::JsonValue parse_response(const std::string& line) {
-  serve::JsonValue v;
+json::JsonValue parse_response(const std::string& line) {
+  json::JsonValue v;
   std::string err;
-  EXPECT_TRUE(serve::json_parse(line, &v, &err)) << err << ": " << line;
+  EXPECT_TRUE(json::json_parse(line, &v, &err)) << err << ": " << line;
   return v;
 }
 
@@ -165,14 +165,14 @@ serve::JsonValue parse_response(const std::string& line) {
 // ---------------------------------------------------------------------------
 
 TEST(ServeJson, ParsesNestedValues) {
-  serve::JsonValue v;
+  json::JsonValue v;
   std::string err;
-  ASSERT_TRUE(serve::json_parse(
+  ASSERT_TRUE(json::json_parse(
       R"({"a": [1, 2.5, -3e2], "b": {"c": "x", "d": true}, "e": null})", &v,
       &err))
       << err;
   ASSERT_TRUE(v.is_object());
-  const serve::JsonValue* a = v.find("a");
+  const json::JsonValue* a = v.find("a");
   ASSERT_NE(a, nullptr);
   ASSERT_EQ(a->size(), 3u);
   EXPECT_DOUBLE_EQ(a->at(0).as_number(), 1.0);
@@ -184,12 +184,12 @@ TEST(ServeJson, ParsesNestedValues) {
 }
 
 TEST(ServeJson, RejectsMalformedInput) {
-  serve::JsonValue v;
+  json::JsonValue v;
   std::string err;
-  EXPECT_FALSE(serve::json_parse("{\"a\": }", &v, &err));
-  EXPECT_FALSE(serve::json_parse("{\"a\": 1} trailing", &v, &err));
-  EXPECT_FALSE(serve::json_parse("\"unterminated", &v, &err));
-  EXPECT_FALSE(serve::json_parse("", &v, &err));
+  EXPECT_FALSE(json::json_parse("{\"a\": }", &v, &err));
+  EXPECT_FALSE(json::json_parse("{\"a\": 1} trailing", &v, &err));
+  EXPECT_FALSE(json::json_parse("\"unterminated", &v, &err));
+  EXPECT_FALSE(json::json_parse("", &v, &err));
 }
 
 TEST(ServeJson, EscapeRoundTripsBytes) {
@@ -198,10 +198,10 @@ TEST(ServeJson, EscapeRoundTripsBytes) {
   const std::string original =
       "{\n  \"k\": \"v\\\"q\",\t\"u\": \"\xc3\xa9\"\n}\x01";
   const std::string wrapped =
-      "\"" + serve::json_escape(original) + "\"";
-  serve::JsonValue v;
+      "\"" + json::json_escape(original) + "\"";
+  json::JsonValue v;
   std::string err;
-  ASSERT_TRUE(serve::json_parse(wrapped, &v, &err)) << err;
+  ASSERT_TRUE(json::json_parse(wrapped, &v, &err)) << err;
   EXPECT_EQ(v.as_string(), original);
 }
 
@@ -403,6 +403,18 @@ TEST(ServeDaemon, StatusAndUnknownMethodAndBadLine) {
   server->drain();
 }
 
+TEST(ServeDaemon, ClosedConnectionsAreReaped) {
+  auto server = start_server();
+  // Each cycle connects, gets one reply and closes. The acceptor reaps a
+  // finished reader before admitting the next connection, so only the
+  // last connection or two may still be tracked, not all 32.
+  for (int i = 0; i < 32; ++i) {
+    ASSERT_TRUE(call(server->port(), "status", {}).ok) << "cycle " << i;
+  }
+  EXPECT_LE(server->tracked_connections(), 2u);
+  server->drain();
+}
+
 TEST(ServeReader, OverlongLineGetsItsOwnErrorAndCloses) {
   auto server = start_server();
   {
@@ -414,8 +426,8 @@ TEST(ServeReader, OverlongLineGetsItsOwnErrorAndCloses) {
                                           'x')));
     const std::string line = conn.read_line();
     ASSERT_FALSE(line.empty()) << "no reply to an over-long line";
-    const serve::JsonValue resp = parse_response(line);
-    const serve::JsonValue* error = resp.find("error");
+    const json::JsonValue resp = parse_response(line);
+    const json::JsonValue* error = resp.find("error");
     ASSERT_NE(error, nullptr) << line;
     EXPECT_EQ(static_cast<int>(error->find("code")->as_number()),
               serve::kErrLineTooLong);
@@ -434,7 +446,7 @@ TEST(ServeReader, OneByteWritesStillParse) {
   for (const char c : line) {
     ASSERT_TRUE(conn.send_all(std::string(1, c)));
   }
-  const serve::JsonValue resp = parse_response(conn.read_line());
+  const json::JsonValue resp = parse_response(conn.read_line());
   EXPECT_EQ(resp.find("id")->as_string(), "byte");
   EXPECT_EQ(resp.find("status")->as_string(), "ok");
   server->drain();
@@ -449,7 +461,7 @@ TEST(ServeReader, TwoRequestsInOneWriteBothParse) {
       "{\"id\": \"b\", \"method\": \"status\"}\n"));
   std::vector<std::string> ids;
   for (int i = 0; i < 2; ++i) {
-    const serve::JsonValue resp = parse_response(conn.read_line());
+    const json::JsonValue resp = parse_response(conn.read_line());
     EXPECT_EQ(resp.find("status")->as_string(), "ok");
     ids.push_back(resp.find("id")->as_string());
   }
@@ -474,10 +486,10 @@ TEST(ServeDaemon, LintRequest) {
                                 &err))
       << err;
   ASSERT_TRUE(resp.ok) << resp.raw;
-  const serve::JsonValue* diags = resp.result.find("diagnostics_json");
+  const json::JsonValue* diags = resp.result.find("diagnostics_json");
   ASSERT_NE(diags, nullptr);
-  serve::JsonValue parsed;
-  EXPECT_TRUE(serve::json_parse(diags->as_string(), &parsed, &err)) << err;
+  json::JsonValue parsed;
+  EXPECT_TRUE(json::json_parse(diags->as_string(), &parsed, &err)) << err;
   EXPECT_NE(resp.result.find("errors"), nullptr);
   EXPECT_NE(resp.result.find("summary"), nullptr);
 
@@ -493,7 +505,7 @@ TEST(ServeDaemon, SweepMatchesBatchByteForByte) {
   const serve::ClientResponse resp =
       call(server->port(), "sweep", small_sweep_params());
   ASSERT_TRUE(resp.ok) << resp.raw;
-  const serve::JsonValue* frontier = resp.result.find("frontier_json");
+  const json::JsonValue* frontier = resp.result.find("frontier_json");
   ASSERT_NE(frontier, nullptr);
 
   // The batch reference: a private store and cache, default threading —
@@ -513,7 +525,7 @@ TEST(ServeDaemon, SecondIdenticalSweepIsWarm) {
   const serve::ClientResponse warm =
       call(server->port(), "sweep", small_sweep_params());
   ASSERT_TRUE(warm.ok) << warm.raw;
-  const serve::JsonValue* skip = warm.result.find("skip_pct");
+  const json::JsonValue* skip = warm.result.find("skip_pct");
   ASSERT_NE(skip, nullptr);
   EXPECT_GE(skip->as_number(), 0.5) << warm.raw;
   EXPECT_GT(warm.result.find("eval_cache")->find("hits")->as_number(), 0.0);
@@ -562,7 +574,7 @@ TEST(ServeDaemon, RestartOnStoreDirAnswersWarmFromL2) {
   const serve::ClientResponse status =
       call(server->port(), "status", {});
   ASSERT_TRUE(status.ok) << status.raw;
-  const serve::JsonValue* store = status.result.find("store");
+  const json::JsonValue* store = status.result.find("store");
   ASSERT_NE(store, nullptr) << status.raw;
   EXPECT_GT(store->find("l2_hits")->as_number(), 0.0) << status.raw;
   server->drain();
@@ -714,9 +726,9 @@ TEST(ServeDaemon, MixedTenantLoad) {
   t3.join();
   const serve::ClientResponse metrics = call(server->port(), "metrics", {});
   ASSERT_TRUE(metrics.ok) << metrics.raw;
-  serve::JsonValue parsed;
+  json::JsonValue parsed;
   std::string err;
-  ASSERT_TRUE(serve::json_parse(
+  ASSERT_TRUE(json::json_parse(
       metrics.result.find("metrics_json")->as_string(), &parsed, &err))
       << err;
   server->drain();
@@ -766,7 +778,7 @@ TEST(ServeDaemon, NetmapMatchesBatchByteForByte) {
       client.call_extra("netmap", params, "model", kModelDoc, 0, &resp, &err))
       << err;
   ASSERT_TRUE(resp.ok) << resp.raw;
-  const serve::JsonValue* report = resp.result.find("report_json");
+  const json::JsonValue* report = resp.result.find("report_json");
   ASSERT_NE(report, nullptr);
   EXPECT_NE(resp.result.find("total_energy_pj"), nullptr);
 

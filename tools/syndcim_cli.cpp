@@ -684,21 +684,11 @@ int run_lint_command(const Args& args) {
   }();
 
   // Top inference: the unique module never instantiated as a submodule.
-  const std::vector<std::string> modules = design.module_names();
   if (top.empty()) {
-    std::vector<std::string> roots;
-    for (const std::string& name : modules) {
-      bool used = false;
-      for (const std::string& other : modules) {
-        for (const auto& inst : design.module(other).instances()) {
-          used = used || (!inst.is_cell && inst.master == name);
-        }
-      }
-      if (!used) roots.push_back(name);
-    }
+    const std::vector<std::string> roots = design.root_modules();
     if (roots.size() == 1) {
       top = roots.front();
-    } else if (modules.empty()) {
+    } else if (design.module_names().empty()) {
       diag.error("LINT-STRUCT", "netlist contains no modules",
                  netlist_path, "lint");
     } else {

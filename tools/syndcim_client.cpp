@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "json/json.hpp"
 #include "serve/client.hpp"
 
 using namespace syndcim;
@@ -297,7 +298,7 @@ int main(int argc, char** argv) {
   }
 
   if (rc == 0 && !opt.extract_key.empty()) {
-    const serve::JsonValue* field = resps[0].result.find(opt.extract_key);
+    const json::JsonValue* field = resps[0].result.find(opt.extract_key);
     if (field == nullptr || !field->is_string()) {
       std::cerr << "error: result has no string field '" << opt.extract_key
                 << "'\n";
