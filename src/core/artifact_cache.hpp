@@ -159,6 +159,13 @@ class ArtifactCache {
     return find_l2(key);
   }
 
+  /// Whether L1 holds `key`. Counts nothing and leaves the LRU order and
+  /// L2 alone.
+  [[nodiscard]] bool contains(const std::string& key) const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return enabled_ && map_.contains(key);
+  }
+
   /// Stores `value` (first writer wins) and returns the stored artifact.
   std::shared_ptr<const T> put(const std::string& key, T value) {
     auto sp = std::make_shared<const T>(std::move(value));

@@ -107,7 +107,58 @@ void drive_workload(sim::MacroTestbench& tb, sim::DcimMacroModel& model,
   }
 }
 
+/// implement()'s `map` stage: stitches the macro's pre-flattened
+/// subcircuit blocks into one flat netlist, kept in `flats` under the
+/// configuration key alone (netlist structure is library-independent).
+std::shared_ptr<const netlist::FlatNetlist> run_map(
+    StagePipeline& pipe, ArtifactStore& as, const std::string& ckey,
+    const rtlgen::MacroDesign& macro) {
+  return pipe.run("map", &as.flats, "flatm1|" + ckey, [&] {
+    return std::move(
+        netlist::stitch_flatten(macro.design, macro.top, &as.blocks).nl);
+  });
+}
+
+/// Key of implement()'s `lint` stage: the configuration key and the
+/// library fingerprint.
+std::string lint_key(const cell::Library& lib, const std::string& ckey) {
+  return "lint1|" + ckey + "|" + lib.fingerprint();
+}
+
+/// implement()'s `lint` stage: static checks of the netlist `flat()`
+/// returns, kept in `lints` under lint_key. `flat` runs only on a miss,
+/// so a hit needs neither the macro nor its netlist.
+template <typename FlatFn>
+std::shared_ptr<const LintArtifact> run_lint(StagePipeline& pipe,
+                                             ArtifactStore& as,
+                                             const cell::Library& lib,
+                                             const std::string& ckey,
+                                             FlatFn&& flat) {
+  return pipe.run("lint", &as.lints, lint_key(lib, ckey), [&] {
+    LintArtifact la;
+    DiagEngine dg;
+    la.summary = lint::lint_netlist(*flat(), lib, dg);
+    la.diags = dg.diags();
+    return la;
+  });
+}
+
 }  // namespace
+
+std::shared_ptr<const LintArtifact> lint_config(
+    const cell::Library& lib, ArtifactStore& as,
+    const rtlgen::MacroConfig& cfg, obs::PhaseTimeline* timeline) {
+  StagePipeline pipe("compile", timeline);
+  const std::string ckey = rtlgen::config_content_key(cfg);
+  return run_lint(pipe, as, lib, ckey, [&] {
+    return run_map(pipe, as, ckey, rtlgen::gen_macro(cfg, &as.modules));
+  });
+}
+
+bool lint_cached(const cell::Library& lib, const ArtifactStore& as,
+                 const rtlgen::MacroConfig& cfg) {
+  return as.lints.contains(lint_key(lib, rtlgen::config_content_key(cfg)));
+}
 
 Implementation SynDcimCompiler::implement(const rtlgen::MacroConfig& cfg,
                                           const PerfSpec& spec,
@@ -125,8 +176,7 @@ Implementation SynDcimCompiler::implement(const rtlgen::MacroConfig& cfg,
   StagePipeline pipe("compile", &impl.timeline);
   pipe.set_cancel(cancel);
   const std::string ckey = rtlgen::config_content_key(cfg);
-  const std::string& libfp = lib_.fingerprint();
-  const std::string lkey = ckey + "|" + libfp;
+  const std::string lkey = ckey + "|" + lib_.fingerprint();
 
   // rtlgen always materializes the MacroDesign (the caller keeps it for
   // testbench hookup and module keys); its subcircuit modules still come
@@ -136,23 +186,12 @@ Implementation SynDcimCompiler::implement(const rtlgen::MacroConfig& cfg,
       [&] { return rtlgen::gen_macro(cfg, &as.modules); });
   impl.macro = *macro;
 
-  const auto flat = pipe.run("map", &as.flats, "flatm1|" + ckey, [&] {
-    netlist::StitchResult sr = netlist::stitch_flatten(
-        impl.macro.design, impl.macro.top, &as.blocks);
-    return std::move(sr.nl);
-  });
+  const auto flat = run_map(pipe, as, ckey, impl.macro);
 
   // Static netlist checks before any physical or timing work: an
   // error-severity finding means the netlist itself is broken and every
   // downstream number would be meaningless.
-  const auto lint_art =
-      pipe.run("lint", &as.lints, "lint1|" + lkey, [&] {
-        LintArtifact la;
-        DiagEngine dg;
-        la.summary = lint::lint_netlist(*flat, lib_, dg);
-        la.diags = dg.diags();
-        return la;
-      });
+  const auto lint_art = run_lint(pipe, as, lib_, ckey, [&] { return flat; });
   replay_diags(lint_art->diags, impl.diagnostics);
   impl.lint = lint_art->summary;
   if (!impl.lint.clean()) {

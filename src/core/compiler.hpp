@@ -76,6 +76,23 @@ struct CompileResult {
   Implementation impl;
 };
 
+/// Lints `cfg` through implement()'s `lint` stage, under implement()'s
+/// keys and phase names: only a `lints` miss elaborates the macro and
+/// runs the `map` stage, so a configuration that an earlier sweep, served
+/// request or compile already linted costs one lookup. The stages land in
+/// `timeline` (lint, preceded by map on a miss). Sweep frontier lint
+/// calls this from worker threads, so `lib.fingerprint()` must already
+/// have been computed.
+[[nodiscard]] std::shared_ptr<const LintArtifact> lint_config(
+    const cell::Library& lib, ArtifactStore& as,
+    const rtlgen::MacroConfig& cfg, obs::PhaseTimeline* timeline);
+
+/// Whether `as` holds lint_config's result for `cfg` in memory, so that
+/// lint_config would cost one lookup. Counts no lookup.
+[[nodiscard]] bool lint_cached(const cell::Library& lib,
+                               const ArtifactStore& as,
+                               const rtlgen::MacroConfig& cfg);
+
 /// End-to-end SynDCIM compiler: specification -> MSO search -> selected
 /// Pareto design -> full macro elaboration -> SDP placement ->
 /// DRC/LVS -> post-layout STA and simulation-based power (paper Fig. 2

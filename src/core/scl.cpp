@@ -6,6 +6,7 @@
 
 #include "layout/floorplan.hpp"
 #include "netlist/stitch.hpp"
+#include "obs/obs.hpp"
 #include "power/power.hpp"
 #include "rtlgen/content_key.hpp"
 #include "rtlgen/macro.hpp"
@@ -41,73 +42,61 @@ std::shared_ptr<const SliceEval> SubcircuitLibrary::slice(
     const MacroConfig& cfg) const {
   // The slice content key already normalizes the column count, so every
   // configuration differing only in `cols` maps to one characterization.
-  const std::string skey = rtlgen::slice_content_key(cfg);
   return store_->slices.get_or_compute(
-      "slice1|" + skey + "|" + lib_.fingerprint(),
-      [&] { return characterize(cfg, skey); });
+      "slice1|" + rtlgen::slice_content_key(cfg) + "|" + lib_.fingerprint(),
+      [&] { return characterize(cfg); });
 }
 
-SliceEval SubcircuitLibrary::characterize(const MacroConfig& cfg,
-                                          const std::string& skey) const {
+SliceEval SubcircuitLibrary::characterize(const MacroConfig& cfg) const {
   // Slice: one OFU group wide (min 8 columns to satisfy the generator).
   MacroConfig sc = cfg;
   sc.cols = std::max(cfg.max_weight_bits(), 8);
   sc.validate();
 
+  // The stages below have no tier of their own: every input they read is
+  // covered by the slice key, so the `slices` tier is their one memo.
+  // Reuse inside a characterization comes from the module, block and
+  // per-cone activity tiers the generator, stitcher and propagation
+  // consult. Each stage keeps its `scl.slice.<stage>` span.
   ArtifactStore& as = *store_;
-  StagePipeline pipe("scl.slice");
-  const std::string& libfp = lib_.fingerprint();
-  const std::string lkey = skey + "|" + libfp;
-
-  // Elaborate + stitch. Netlist structure is library-independent, so the
-  // flat artifact is keyed by generator parameters alone; on a hit the
-  // generator does not run at all.
-  const auto flat =
-      pipe.run("flatten", &as.flats, "slflat1|" + skey, [&] {
-        const rtlgen::MacroDesign md = rtlgen::gen_macro(sc, &as.modules);
-        netlist::StitchResult sr =
-            netlist::stitch_flatten(md.design, md.top, &as.blocks);
-        return std::move(sr.nl);
-      });
+  const netlist::FlatNetlist flat = [&] {
+    OBS_SPAN("scl.slice.flatten");
+    const rtlgen::MacroDesign md = rtlgen::gen_macro(sc, &as.modules);
+    return std::move(
+        netlist::stitch_flatten(md.design, md.top, &as.blocks).nl);
+  }();
 
   SliceEval ev;
   ev.slice_cols = sc.cols;
-  ev.gate_count = flat->gates().size();
+  ev.gate_count = flat.gates().size();
 
   // Characterize the slice post-placement so the searcher's estimates see
   // extracted wire parasitics (the cross-region accumulator and OFU nets
   // dominate the fused configurations' timing).
-  const auto placed =
-      pipe.run("floorplan", &as.placed, "slplace1|" + lkey, [&] {
-        PlacedArtifact pa;
-        pa.floorplan = layout::sdp_place(*flat, lib_, sc);
-        return pa;
-      });
-  const auto route = pipe.run("route", &as.routes, "slwire1|" + lkey, [&] {
-    RouteArtifact ra;
-    ra.wire = layout::extract_wire_model(*flat, placed->floorplan,
-                                         lib_.node());
-    return ra;
-  });
+  const layout::Floorplan floorplan = [&] {
+    OBS_SPAN("scl.slice.floorplan");
+    return layout::sdp_place(flat, lib_, sc);
+  }();
+  const sta::WireModel wire = [&] {
+    OBS_SPAN("scl.slice.route");
+    return layout::extract_wire_model(flat, floorplan, lib_.node());
+  }();
 
-  // static_control_ports() is a pure function of the configuration, so it
-  // is available even when the generator stage was skipped.
+  // static_control_ports() is a pure function of the configuration.
   rtlgen::MacroDesign ports;
   ports.cfg = sc;
 
-  const auto timing = pipe.run("sta", &as.timings, "slsta2|" + lkey, [&] {
-    sta::StaEngine sta(*flat, lib_);
+  const sta::TimingReport rep = [&] {
+    OBS_SPAN("scl.slice.sta");
+    sta::StaEngine sta(flat, lib_);
     sta::StaOptions topt;
     topt.clock_period_ps = kRefPeriodPs;
     topt.write_period_ps = kRefPeriodPs;
     topt.vdd = lib_.node().vdd_nominal;
-    topt.wire = route->wire;
+    topt.wire = wire;
     topt.static_inputs = ports.static_control_ports();
-    TimingArtifact ta;
-    ta.timing = sta.analyze(topt);
-    return ta;
-  });
-  const sta::TimingReport& rep = timing->timing;
+    return sta.analyze(topt);
+  }();
   ev.min_period_ps = rep.min_period_ps;
   ev.min_write_period_ps = rep.min_write_period_ps;
   for (const sta::GroupSlack& gs : rep.groups) {
@@ -120,32 +109,32 @@ SliceEval SubcircuitLibrary::characterize(const MacroConfig& cfg,
   }
 
   // Search-time activity: one grouped propagation whose per-cone results
-  // come from the shared activity tier; the whole model is additionally
-  // memoized so an identical slice skips even the splicing.
-  const auto act = pipe.run<power::ActivityModel>(
-      "activity", &as.act_models, "slact2|" + lkey, [&] {
-        return power::propagate_activity_grouped(
-            *flat, lib_, power::ActivitySpec{}, &as.activity);
-      });
+  // come from the shared activity tier.
+  const power::ActivityModel act = [&] {
+    OBS_SPAN("scl.slice.activity");
+    return power::propagate_activity_grouped(
+        flat, lib_, power::ActivitySpec{}, &as.activity);
+  }();
 
-  const auto pw = pipe.run("power", &as.powers, "slpow2|" + lkey, [&] {
+  const PowerArtifact pw = [&] {
+    OBS_SPAN("scl.slice.power");
     power::PowerOptions popt;
     popt.vdd = lib_.node().vdd_nominal;
     popt.freq_mhz = 1000.0;  // 1 GHz reference: uW == fJ/cycle
     PowerArtifact pa;
-    pa.power = power::analyze_power(*flat, lib_, *act, popt);
-    pa.area = power::analyze_area(*flat, lib_);
+    pa.power = power::analyze_power(flat, lib_, act, popt);
+    pa.area = power::analyze_area(flat, lib_);
     return pa;
-  });
+  }();
 
-  for (std::size_t g = 0; g < pw->power.by_group.size(); ++g) {
+  for (std::size_t g = 0; g < pw.power.by_group.size(); ++g) {
     SliceEval::GroupCost gc;
-    gc.group = pw->power.by_group[g].group;
+    gc.group = pw.power.by_group[g].group;
     gc.dynamic_fj =
-        pw->power.by_group[g].dynamic_uw;  // at 1 GHz: uW == fJ/cycle
-    gc.leakage_nw = pw->power.by_group[g].leakage_uw * 1.0e3;
-    gc.area_um2 = g < pw->area.by_group.size()
-                      ? pw->area.by_group[g].area_um2
+        pw.power.by_group[g].dynamic_uw;  // at 1 GHz: uW == fJ/cycle
+    gc.leakage_nw = pw.power.by_group[g].leakage_uw * 1.0e3;
+    gc.area_um2 = g < pw.area.by_group.size()
+                      ? pw.area.by_group[g].area_um2
                       : 0.0;
     ev.groups.push_back(std::move(gc));
   }

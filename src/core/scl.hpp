@@ -34,13 +34,13 @@ struct EvalOutcome {
 
 /// The SynDCIM Subcircuit Library (SCL).
 ///
-/// Characterization runs as a staged pipeline (gen+stitch -> floorplan ->
-/// route -> sta -> activity -> power) over a content-addressed
-/// ArtifactStore; each stage skips when its input key is already present,
-/// and the composed SliceEval lands in the store's `slices` tier. Because
-/// the slice content key normalizes the column count, every configuration
-/// differing only in `cols` shares one characterization, and a one-knob
-/// delta re-runs only the stages its knob reaches.
+/// Characterization runs the slice stages (gen+stitch -> floorplan ->
+/// route -> sta -> activity -> power) and lands the composed SliceEval in
+/// the store's `slices` tier, the stages' one memo. Because the slice
+/// content key normalizes the column count, every configuration
+/// differing only in `cols` shares one characterization. A one-knob
+/// delta that misses `slices` still reuses the subcircuit modules, the
+/// stitched blocks and the per-cone activity its knob did not touch.
 ///
 /// The library holds no state besides its store, and the store's tiers
 /// are thread-safe with in-flight deduplication, so any number of
@@ -81,10 +81,8 @@ class SubcircuitLibrary {
   }
 
  private:
-  /// Runs the slice stage pipeline (the `slices` tier's compute); `skey`
-  /// is the slice content key of `cfg`.
-  [[nodiscard]] SliceEval characterize(const rtlgen::MacroConfig& cfg,
-                                       const std::string& skey) const;
+  /// Runs the slice stages (the `slices` tier's compute).
+  [[nodiscard]] SliceEval characterize(const rtlgen::MacroConfig& cfg) const;
 
   const cell::Library& lib_;
   std::shared_ptr<ArtifactStore> store_;

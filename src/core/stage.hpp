@@ -97,12 +97,16 @@ void replay_diags(const std::vector<Diagnostic>& diags, DiagEngine& sink);
 // ArtifactStore
 // ---------------------------------------------------------------------------
 
-/// The subcircuit-artifact cache: one content-addressed tier per compile
-/// stage output plus the slice characterizations composed from them,
-/// shared across configurations, specs, sweep worker threads and serve
-/// requests. It is the compiler's only memo layer: a repeated slice is
-/// one `slices` hit, and a one-knob configuration delta that misses the
-/// slice tier still reuses every stage artifact the delta did not touch.
+/// The subcircuit-artifact cache, shared across configurations, specs,
+/// sweep worker threads and serve requests: one content-addressed tier
+/// per implement() stage output, the slice characterizations the search
+/// prices candidates from, and the module, block and per-cone activity
+/// tiers both build on. It is the compiler's only memo layer, and each
+/// result lives in exactly one tier. A repeated slice is one `slices`
+/// hit. The slice stages have no tier of their own, because the slice key
+/// covers all of their inputs; a one-knob configuration delta that misses
+/// `slices` still reuses the modules, stitched blocks and per-cone
+/// activity the delta did not touch.
 ///
 /// Keys are 32-hex content digests (see ArtifactHasher) prefixed with a
 /// stage/version tag. What a key covers is stage-specific:
@@ -110,7 +114,7 @@ void replay_diags(const std::vector<Diagnostic>& diags, DiagEngine& sink);
 ///    structure is library-independent),
 ///  - activity: group structure + boundary probabilities + workload spec
 ///    + library fingerprint,
-///  - lints / placed / routes / timings / powers / sim_activity: config
+///  - lints / placed / routes / timings / powers / act_models: config
 ///    key + library fingerprint (+ spec timing knobs / workload where the
 ///    stage reads them),
 ///  - slices: slice content key + library fingerprint.
@@ -133,11 +137,10 @@ struct ArtifactStore {
   ArtifactCache<RouteArtifact> routes{"routes"};
   ArtifactCache<TimingArtifact> timings{"timings"};
   ArtifactCache<PowerArtifact> powers{"powers"};
-  /// Whole activity models: search-time propagated (slice pipeline) and
-  /// workload-simulated (implement pipeline), distinguished by key prefix.
+  /// Workload-simulated activity models (implement()'s power stage).
   ArtifactCache<power::ActivityModel> act_models{"act_models"};
-  /// Slice characterizations (SubcircuitLibrary::slice), composed from
-  /// the stage tiers above.
+  /// Slice characterizations (SubcircuitLibrary::slice), the one memo
+  /// of the slice stages.
   ArtifactCache<SliceEval> slices{"slices"};
 
   void set_enabled(bool on);

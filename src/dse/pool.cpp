@@ -1,7 +1,6 @@
 #include "dse/pool.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 namespace syndcim::dse {
 
@@ -31,7 +30,10 @@ WorkStealingPool::WorkStealingPool(int threads) {
 
 WorkStealingPool::~WorkStealingPool() {
   wait_idle();
-  stop_.store(true, std::memory_order_release);
+  {
+    const std::lock_guard<std::mutex> lock(work_mu_);
+    stop_.store(true, std::memory_order_release);
+  }
   work_cv_.notify_all();
   for (const auto& w : workers_) {
     if (w->thread.joinable()) w->thread.join();
@@ -55,6 +57,10 @@ void WorkStealingPool::submit(std::function<void()> task) {
   if (obs::enabled()) {
     queue_depth_hist_->observe(static_cast<double>(depth));
   }
+  {
+    const std::lock_guard<std::mutex> lock(work_mu_);
+    queued_.fetch_add(1, std::memory_order_relaxed);
+  }
   work_cv_.notify_all();
 }
 
@@ -65,6 +71,7 @@ bool WorkStealingPool::try_pop_own(std::size_t self,
   if (w.deque.empty()) return false;
   task = std::move(w.deque.front());
   w.deque.pop_front();
+  queued_.fetch_sub(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -76,6 +83,7 @@ bool WorkStealingPool::try_steal(std::size_t self,
     if (victim.deque.empty()) continue;
     task = std::move(victim.deque.back());
     victim.deque.pop_back();
+    queued_.fetch_sub(1, std::memory_order_relaxed);
     return true;
   }
   return false;
@@ -109,9 +117,10 @@ void WorkStealingPool::worker_loop(std::size_t self) {
     }
     std::unique_lock<std::mutex> lock(work_mu_);
     if (stop_.load(std::memory_order_acquire)) break;
-    // Re-check after a bounded wait: a task may have been enqueued
-    // between the failed scan and this wait.
-    work_cv_.wait_for(lock, std::chrono::milliseconds(1));
+    work_cv_.wait(lock, [this] {
+      return stop_.load(std::memory_order_acquire) ||
+             queued_.load(std::memory_order_relaxed) > 0;
+    });
   }
   tl_pool = nullptr;
 }

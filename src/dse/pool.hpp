@@ -69,11 +69,16 @@ class WorkStealingPool {
   obs::Histogram* queue_depth_hist_ = nullptr;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> pending_{0};
+  /// Tasks in the deques. Raised and stop_ set under work_mu_, which an
+  /// idle worker holds from its last check to its wait, so no wake-up is
+  /// lost. A task popped before its submit raised this leaves it at -1
+  /// until the submit does.
+  std::atomic<std::int64_t> queued_{0};
   std::atomic<std::uint64_t> rr_{0};  ///< round-robin external submission
   std::mutex idle_mu_;
   std::condition_variable idle_cv_;   ///< signalled when pending_ hits 0
   std::mutex work_mu_;
-  std::condition_variable work_cv_;   ///< signalled when work arrives
+  std::condition_variable work_cv_;   ///< signalled on queued_ or stop_
 };
 
 /// Run `fn(i)` for i in [0, n) on the pool and wait for completion.

@@ -359,7 +359,8 @@ SweepReport merge_shards(const cell::Library& lib,
       disk = std::make_unique<core::DiskBlobStore>(opt.store_dir);
       store.attach_blob_store(disk.get());
     }
-    lint_frontier_points(lib, rep.frontier, store);
+    lint_frontier_points(lib, rep.frontier, store,
+                         WorkStealingPool::default_threads());
     if (disk != nullptr) {
       store.flush_l2();
       if (opt.diag != nullptr) disk->drain_diags(*opt.diag);

@@ -66,9 +66,10 @@ bool write_shard_file(const std::string& path, const ShardResult& s);
 [[nodiscard]] ShardResult read_shard_file(const std::string& path);
 
 struct MergeOptions {
-  /// Lint every merged-frontier point (same sequential pass run_sweep
-  /// does). The linting store optionally reads through `store_dir` —
-  /// results are byte-identical either way, warm is just faster.
+  /// Lint every merged-frontier point (the same lint_frontier_points
+  /// pass run_sweep does, on a pool of hardware-concurrency workers). The
+  /// linting store optionally reads through `store_dir` — results are
+  /// byte-identical either way, warm is just faster.
   bool lint_frontier = true;
   std::string store_dir;
   core::DiagEngine* diag = nullptr;  ///< store/codec findings sink

@@ -5,18 +5,17 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <sstream>
 #include <unordered_set>
 
+#include "core/compiler.hpp"
 #include "core/diag.hpp"
 #include "core/diskstore.hpp"
 #include "dse/shard.hpp"
 #include "json/json.hpp"
-#include "lint/lint.hpp"
 #include "obs/obs.hpp"
-#include "netlist/stitch.hpp"
-#include "rtlgen/macro.hpp"
 
 namespace syndcim::dse {
 
@@ -153,6 +152,30 @@ std::vector<FrontierPoint> global_front(std::vector<FrontierPoint> pts) {
                   }),
       front.end());
   return front;
+}
+
+/// Runs fn(i) for every i in [0, n) on a pool of `threads` workers. Once
+/// all have finished, rethrows the first exception a task threw. Returns
+/// the pool's statistics.
+WorkStealingPool::Stats run_tasks(
+    int threads, std::size_t n, const std::function<void(std::size_t)>& fn) {
+  std::exception_ptr first_error;
+  std::mutex error_mu;
+  WorkStealingPool::Stats stats;
+  {
+    WorkStealingPool pool(threads);
+    parallel_for(pool, n, [&](std::size_t i) {
+      try {
+        fn(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (!first_error) first_error = std::current_exception();
+      }
+    });
+    stats = pool.stats();
+  }
+  if (first_error) std::rethrow_exception(first_error);
+  return stats;
 }
 
 }  // namespace
@@ -302,31 +325,16 @@ SweepReport run_sweep(const cell::Library& lib,
 
   SweepReport rep;
   rep.n_tasks = tasks.size();
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  {
-    WorkStealingPool pool(threads);
-    for (const Task& t : tasks) {
-      pool.submit([&searcher, &specs, &slots, &t, &first_error, &error_mu,
-                   &opt] {
-        // Cooperative cancellation boundary: once the token trips
-        // (request deadline, drain, SIGINT) the remaining tasks become
-        // no-ops and their slots stay empty — the merge below simply sees
-        // fewer trajectory fragments.
-        if (opt.cancel != nullptr && opt.cancel->cancelled()) return;
-        try {
-          slots[t.spec_idx][t.traj_idx] =
-              searcher.run_trajectory(t.seed, specs[t.spec_idx]);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(error_mu);
-          if (!first_error) first_error = std::current_exception();
-        }
-      });
-    }
-    pool.wait_idle();
-    rep.pool = pool.stats();
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  rep.pool = run_tasks(threads, tasks.size(), [&](std::size_t k) {
+    // Cooperative cancellation boundary: once the token trips (request
+    // deadline, drain, SIGINT) the remaining tasks become no-ops and their
+    // slots stay empty — the merge below simply sees fewer trajectory
+    // fragments.
+    if (opt.cancel != nullptr && opt.cancel->cancelled()) return;
+    const Task& t = tasks[k];
+    slots[t.spec_idx][t.traj_idx] =
+        searcher.run_trajectory(t.seed, specs[t.spec_idx]);
+  });
   rep.cancelled = opt.cancel != nullptr && opt.cancel->cancelled();
 
   // Per-spec reduction: concatenate the trajectory fragments in seed
@@ -349,11 +357,9 @@ SweepReport run_sweep(const cell::Library& lib,
 
   // Static sanity of every surviving frontier point: a frontier entry is
   // what a user will actually implement, so its elaborated netlist gets
-  // the same checks the compiler runs before signoff. Sequential (the
-  // frontier is small) and pure, keeping the report thread-count
-  // independent.
+  // the compiler's own lint stage, memo included.
   if (opt.lint_frontier && !rep.cancelled) {
-    lint_frontier_points(lib, rep.frontier, *store);
+    lint_frontier_points(lib, rep.frontier, *store, threads);
   }
 
   if (disk != nullptr) {
@@ -419,28 +425,33 @@ std::vector<FrontierPoint> merge_global_frontier(
 
 void lint_frontier_points(const cell::Library& lib,
                           std::vector<FrontierPoint>& frontier,
-                          core::ArtifactStore& store) {
-  OBS_SPAN("dse.frontier.lint");
+                          core::ArtifactStore& store, int threads) {
+  // The tasks read the fingerprint concurrently; its first computation
+  // is not thread-safe.
+  (void)lib.fingerprint();
+  // Each lint writes only its own point, so the result does not depend
+  // on the schedule. Each opens its own span and no span covers the
+  // wait, so a trace credits frontier lint with lint work only.
+  const auto lint = [&](FrontierPoint& fp) {
+    OBS_SPAN("dse.frontier.lint");
+    const auto la = core::lint_config(lib, store, fp.point.cfg, &fp.timeline);
+    fp.lint_errors = static_cast<int>(la->summary.errors);
+    fp.lint_warnings = static_cast<int>(la->summary.warnings);
+  };
+  // A point the store already linted costs one lookup, less than
+  // starting a worker thread for it: those run here, and only the rest
+  // get a pool.
+  std::vector<FrontierPoint*> misses;
   for (FrontierPoint& fp : frontier) {
-    const rtlgen::MacroDesign macro = [&] {
-      obs::PhaseScope phase(fp.timeline, "rtlgen");
-      return rtlgen::gen_macro(fp.point.cfg, &store.modules);
-    }();
-    const netlist::FlatNetlist flat = [&] {
-      obs::PhaseScope phase(fp.timeline, "map");
-      // Stitch pre-flattened subcircuit blocks (byte-identical to a
-      // monolithic flatten; a search that ran in this process already
-      // populated the block tier with this point's subcircuits).
-      return std::move(
-          netlist::stitch_flatten(macro.design, macro.top, &store.blocks)
-              .nl);
-    }();
-    obs::PhaseScope phase(fp.timeline, "lint");
-    core::DiagEngine diag;
-    const lint::LintSummary s = lint::lint_netlist(flat, lib, diag);
-    fp.lint_errors = static_cast<int>(s.errors);
-    fp.lint_warnings = static_cast<int>(s.warnings);
+    if (core::lint_cached(lib, store, fp.point.cfg)) {
+      lint(fp);
+    } else {
+      misses.push_back(&fp);
+    }
   }
+  if (misses.empty()) return;
+  run_tasks(std::min(threads, static_cast<int>(misses.size())), misses.size(),
+            [&](std::size_t i) { lint(*misses[i]); });
 }
 
 std::uint64_t SweepReport::artifact_hits() const {

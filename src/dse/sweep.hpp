@@ -39,15 +39,15 @@ struct SweepOptions {
   int threads = 0;  ///< <= 0: hardware concurrency
   /// The content-addressed artifact store every worker evaluates
   /// through: slice characterizations (reused across specs, trajectories
-  /// and preference-only spec variants) and, under them, the stage
-  /// artifacts a one-knob config delta still shares. Disabling it is the
-  /// cold reference path: the exact same code with every tier bypassed,
-  /// so each evaluation re-characterizes its slice — the frontier JSON
-  /// is byte-identical either way.
+  /// and preference-only spec variants) and, under them, the modules,
+  /// blocks and per-cone activity a one-knob config delta still shares.
+  /// Disabling it is the cold reference path: the exact same code with
+  /// every tier bypassed, so each evaluation re-characterizes its slice —
+  /// the frontier JSON is byte-identical either way.
   bool use_artifact_cache = true;
   /// Lint the elaborated netlist of every global-frontier point after the
-  /// merge (sequential, so the report stays deterministic). Off for pure
-  /// benchmarking runs.
+  /// merge, through implement()'s `lint` stage and its `lints` memo (see
+  /// lint_frontier_points). Off for pure benchmarking runs.
   bool lint_frontier = true;
   /// Process-wide artifact store to characterize through instead of a
   /// sweep-private one (nullptr = private). The serve daemon points every
@@ -99,10 +99,11 @@ struct FrontierPoint {
   std::string point_id;
   int lint_errors = -1;
   int lint_warnings = 0;
-  /// Per-point elaboration phases (rtlgen → map → lint) recorded while
-  /// the frontier was linted. Emitted in the full report JSON only —
-  /// wall times are nondeterministic, and the frontier JSON must stay
-  /// byte-identical across runs and thread counts.
+  /// Per-point stages recorded while the frontier was linted: `lint`,
+  /// preceded by `map` when the `lints` tier missed. Emitted in the full
+  /// report JSON only — wall times and cache outcomes vary between runs,
+  /// and the frontier JSON must stay byte-identical across runs and
+  /// thread counts.
   obs::PhaseTimeline timeline;
 };
 
@@ -152,12 +153,16 @@ struct SweepReport {
 [[nodiscard]] std::vector<FrontierPoint> merge_global_frontier(
     const std::vector<SpecResult>& per_spec);
 
-/// The sequential frontier lint run_sweep performs (rtlgen → stitch →
-/// lint per point, deterministic order); fills lint_errors/lint_warnings
-/// and per-point timelines. Shared with dse::merge_shards.
+/// The frontier lint run_sweep performs, shared with dse::merge_shards:
+/// one core::lint_config per point. Points whose lint `store` holds in
+/// memory cost one `lints` lookup on the calling thread; the others run
+/// on a pool of up to `threads` workers. Each lint fills only its own
+/// point's lint_errors, lint_warnings and timeline, which keeps the
+/// result independent of the schedule. The first exception a task
+/// throws is rethrown here.
 void lint_frontier_points(const cell::Library& lib,
                           std::vector<FrontierPoint>& frontier,
-                          core::ArtifactStore& store);
+                          core::ArtifactStore& store, int threads);
 
 /// Content id of one (config, spec) evaluation — see
 /// FrontierPoint::point_id.

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <exception>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
+
+#include "obs/obs.hpp"
 
 namespace syndcim::lint {
 
@@ -526,6 +529,31 @@ LintSummary lint_design(const netlist::Design& d, const std::string& top,
     }
   }
   return rep.finish();
+}
+
+void lint_top(const netlist::Design& d, const std::string& top,
+              const cell::Library& lib, core::DiagEngine& diag,
+              const LintOptions& opt) {
+  {
+    OBS_SPAN("lint.design");
+    (void)lint_design(d, top, diag, opt);
+  }
+  if (!d.has_module(top)) return;  // lint_design reported it
+  // Flattening a structurally broken hierarchy can throw; the
+  // hierarchy-level findings above already explain why.
+  try {
+    const FlatNetlist flat = [&] {
+      OBS_SPAN("lint.flatten");
+      return netlist::flatten(d, top);
+    }();
+    OBS_SPAN("lint.netlist");
+    (void)lint_netlist(flat, lib, diag, opt);
+  } catch (const std::exception& e) {
+    diag.error("LINT-STRUCT",
+               std::string("cannot flatten for netlist-level checks: ") +
+                   e.what(),
+               top, "lint");
+  }
 }
 
 }  // namespace syndcim::lint

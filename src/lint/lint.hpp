@@ -72,4 +72,13 @@ LintSummary lint_netlist(const netlist::FlatNetlist& nl,
 LintSummary lint_design(const netlist::Design& d, const std::string& top,
                         core::DiagEngine& diag, const LintOptions& opt = {});
 
+/// Every check `syndcim lint` and the serve daemon's `lint` method run on
+/// a parsed design: lint_design over the hierarchy (which reports a
+/// missing `top`), then lint_netlist over the flattening of `top`. A
+/// hierarchy that flatten refuses becomes one LINT-STRUCT error. Traced
+/// as `lint.design`, `lint.flatten` and `lint.netlist` spans.
+void lint_top(const netlist::Design& d, const std::string& top,
+              const cell::Library& lib, core::DiagEngine& diag,
+              const LintOptions& opt = {});
+
 }  // namespace syndcim::lint

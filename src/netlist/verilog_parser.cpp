@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/obs.hpp"
+
 namespace syndcim::netlist {
 
 namespace {
@@ -164,6 +166,7 @@ RawModule parse_module(Lexer& lex, core::DiagEngine* diag) {
 }  // namespace
 
 Design parse_verilog(std::istream& is, core::DiagEngine* diag) {
+  OBS_SPAN("vlog.parse");
   Lexer lex(is);
   std::vector<RawModule> raw;
   try {

@@ -606,21 +606,7 @@ std::string Server::handle_lint(const Request& req) {
 
   lint::LintOptions lopt;
   lopt.write_clock = write_clock;
-  if (!top.empty() && design.has_module(top)) {
-    (void)lint::lint_design(design, top, diag, lopt);
-    try {
-      const netlist::FlatNetlist flat = netlist::flatten(design, top);
-      (void)lint::lint_netlist(flat, lib_, diag, lopt);
-    } catch (const std::exception& e) {
-      diag.error("LINT-STRUCT",
-                 std::string("cannot flatten for netlist-level checks: ") +
-                     e.what(),
-                 top, "lint");
-    }
-  } else if (!top.empty()) {
-    diag.error("LINT-STRUCT", "top module '" + top + "' not found", top,
-               "lint");
-  }
+  if (!top.empty()) lint::lint_top(design, top, lib_, diag, lopt);
 
   std::ostringstream os;
   os << "{\"errors\": " << diag.error_count()

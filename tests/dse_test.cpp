@@ -15,6 +15,7 @@
 
 #include "cell/characterize.hpp"
 #include "core/artifact_cache.hpp"
+#include "core/compiler.hpp"
 #include "core/searcher.hpp"
 #include "dse/eval_cache.hpp"
 #include "dse/pool.hpp"
@@ -402,9 +403,8 @@ TEST(SubcircuitLibraryConcurrency, FourThreadsMatchSequentialBitForBit) {
       expect_same_outcome(got[t][i], want[i]);
     }
   }
-  // Each slice was characterized exactly once: one flats miss per key.
+  // Each slice was characterized exactly once.
   core::ArtifactStore& as = par.artifacts();
-  EXPECT_EQ(as.flats.stats().misses, slice_keys.size());
   EXPECT_EQ(as.slices.stats().misses, slice_keys.size());
   EXPECT_EQ(as.slices.stats().entries, slice_keys.size());
   EXPECT_EQ(as.slices.stats().lookups(), kThreads * cfgs.size());
@@ -547,4 +547,69 @@ TEST(SweepDeterminism, MatchesSequentialSearcher) {
   ASSERT_EQ(rep.per_spec.size(), 1u);
   expect_same_points(direct.explored, rep.per_spec[0].result.explored);
   expect_same_points(direct.pareto, rep.per_spec[0].result.pareto);
+}
+
+TEST(SweepFrontierLint, RepeatSweepAndCompileReuseTheLintStage) {
+  // The daemon's case: consecutive sweeps over one process-wide store.
+  const auto store = std::make_shared<core::ArtifactStore>();
+  dse::SweepGrid grid;
+  grid.base = small_spec();
+  grid.mac_freqs_mhz = {250.0, 400.0};
+  const std::vector<core::PerfSpec> specs = grid.expand();
+  dse::SweepOptions opt;
+  opt.threads = 4;
+  opt.shared_store = store.get();
+  const dse::SweepReport first = dse::run_sweep(test_library(), specs, opt);
+  // The repeat is traced, to see which thread lints its frontier.
+  obs::tracer().clear();
+  obs::set_enabled(true);
+  const dse::SweepReport second = dse::run_sweep(test_library(), specs, opt);
+  obs::set_enabled(false);
+  const std::vector<obs::RecordedSpan> spans = obs::tracer().snapshot();
+  obs::tracer().clear();
+
+  ASSERT_FALSE(first.frontier.empty());
+  EXPECT_EQ(dse::sweep_frontier_json(second), dse::sweep_frontier_json(first));
+  auto tier = [&](const std::string& name) {
+    for (const core::ArtifactTierStats& t : second.artifacts) {
+      if (t.name == name) return t;
+    }
+    ADD_FAILURE() << "no tier " << name;
+    return core::ArtifactTierStats{};
+  };
+  // Every point of the repeat is one lints hit: no macro, no netlist.
+  EXPECT_EQ(tier("lints").hits, second.frontier.size());
+  EXPECT_EQ(tier("lints").misses, 0u);
+  EXPECT_EQ(tier("flats").lookups(), 0u);
+  for (const dse::FrontierPoint& fp : second.frontier) {
+    std::vector<std::string> phases;
+    for (const obs::Phase& p : fp.timeline.phases) phases.push_back(p.name);
+    EXPECT_EQ(phases, std::vector<std::string>{"lint"}) << fp.point.label;
+  }
+  // Those lookups run where run_sweep runs: no worker thread starts for
+  // them.
+  if (obs::kCompiledIn) {
+    int sweep_tid = -1;
+    std::vector<int> lint_tids;
+    for (const obs::RecordedSpan& s : spans) {
+      if (s.ev.name == "dse.sweep") sweep_tid = s.tid;
+      if (s.ev.name == "dse.frontier.lint") lint_tids.push_back(s.tid);
+    }
+    EXPECT_EQ(lint_tids,
+              std::vector<int>(second.frontier.size(), sweep_tid));
+  }
+
+  // Frontier lint ran implement()'s own map and lint stages, so a compile
+  // of a frontier point over the same store skips both.
+  const dse::FrontierPoint& pick = first.frontier.front();
+  core::SynDcimCompiler compiler(test_library(), store);
+  const core::Implementation impl =
+      compiler.implement(pick.point.cfg, specs[pick.spec_index]);
+  std::set<std::string> skipped;
+  for (const core::StageRecord& r : impl.stages) {
+    if (r.skipped) skipped.insert(r.stage);
+  }
+  EXPECT_TRUE(skipped.contains("map"));
+  EXPECT_TRUE(skipped.contains("lint"));
+  EXPECT_EQ(impl.lint.errors, static_cast<std::size_t>(pick.lint_errors));
 }

@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +29,8 @@
 #include "core/diag.hpp"
 #include "dse/sweep.hpp"
 #include "json/json.hpp"
+#include "lint/lint.hpp"
+#include "netlist/verilog_parser.hpp"
 #include "netmap/model.hpp"
 #include "netmap/netmap.hpp"
 #include "obs/obs.hpp"
@@ -492,6 +495,28 @@ TEST(ServeDaemon, LintRequest) {
   EXPECT_TRUE(json::json_parse(diags->as_string(), &parsed, &err)) << err;
   EXPECT_NE(resp.result.find("errors"), nullptr);
   EXPECT_NE(resp.result.find("summary"), nullptr);
+
+  // A top the netlist lacks gets exactly the findings `syndcim lint`
+  // reports: both run the one lint::lint_top.
+  const char* kDefects =
+      "module lint_defects (in1, in2, out1);\n"
+      "  input in1; input in2; output out1;\n"
+      "  wire md;\n"
+      "  INVX1 u_md_a (.A(in1), .Y(md));\n"
+      "  INVX1 u_md_b (.A(in2), .Y(md));\n"
+      "  INVX1 u_md_use (.A(md), .Y(out1));\n"
+      "endmodule\n";
+  ASSERT_TRUE(client.call_extra("lint", {{"top", "nosuch"}}, "netlist",
+                                kDefects, 0, &resp, &err))
+      << err;
+  ASSERT_TRUE(resp.ok) << resp.raw;
+  core::DiagEngine want;
+  std::istringstream vf(kDefects);
+  const netlist::Design design = netlist::parse_verilog(vf, &want);
+  lint::lint_top(design, "nosuch", test_library(), want);
+  EXPECT_EQ(want.error_count(), 1u) << "only the missing top is an error";
+  EXPECT_EQ(resp.result.find("diagnostics_json")->as_string(),
+            want.to_json());
 
   // Missing netlist param is a 400, not a crash.
   const serve::ClientResponse missing = call(server->port(), "lint", {});

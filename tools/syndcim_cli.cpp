@@ -704,22 +704,7 @@ int run_lint_command(const Args& args) {
 
   lint::LintOptions lopt;
   lopt.write_clock = write_clock;
-  if (!top.empty()) {
-    (void)lint::lint_design(design, top, diag, lopt);
-    if (design.has_module(top)) {
-      // Flattening a structurally broken hierarchy can throw; the
-      // hierarchy-level findings above already explain why.
-      try {
-        const netlist::FlatNetlist flat = netlist::flatten(design, top);
-        (void)lint::lint_netlist(flat, lib, diag, lopt);
-      } catch (const std::exception& e) {
-        diag.error("LINT-STRUCT",
-                   std::string("cannot flatten for netlist-level checks: ") +
-                       e.what(),
-                   top, "lint");
-      }
-    }
-  }
+  if (!top.empty()) lint::lint_top(design, top, lib, diag, lopt);
 
   diag.print(std::cerr);
   if (!json_path.empty()) {
