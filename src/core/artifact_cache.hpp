@@ -15,10 +15,10 @@
 #include "core/blob_store.hpp"
 #include "obs/obs.hpp"
 
-// Header-only: included from netlist/power/layout as well as core,
-// without adding link edges between those libraries. Only
-// get_or_compute's wait span reaches into syn_obs, and only the layers
-// that call it (core and above) instantiate it.
+// Header-only: included from rtlgen/netlist/power/layout as well as
+// core, without adding link edges between those libraries. Only
+// get_or_compute's wait span reaches into syn_obs, which every library
+// that instantiates it already links.
 
 namespace syndcim::core {
 
@@ -114,7 +114,16 @@ struct ArtifactTierStats {
 /// pointer copy and entries never mutate after insertion (a prerequisite
 /// for the cold-path == warm-path byte-identity guarantee). Disabling a
 /// tier turns every lookup into a silent bypass — the cold reference path
-/// runs the exact same code with `enabled(false)`.
+/// runs the exact same code with `set_enabled(false)`.
+///
+/// One way in: `get_or_compute` is the only lookup. A missing key is
+/// computed once, by the first caller, and concurrent callers of that
+/// key wait for its result, so a tier's hits, misses and entries do not
+/// depend on how callers are scheduled. A compute may look up keys of
+/// other tiers, never of its own, and the tiers nest acyclically
+/// (slices -> modules/blocks/activity, lints -> modules/flats -> blocks,
+/// powers -> act_models): a claim only ever waits on claims further down
+/// that order, which is what keeps waiting deadlock-free.
 ///
 /// Unbounded by default (the batch CLI dies before growth matters); a
 /// long-running daemon calls `set_capacity` to bound the tier, after
@@ -129,13 +138,10 @@ struct ArtifactTierStats {
 /// flush — or when LRU eviction would otherwise lose them). A decode
 /// failure counts as a miss and falls back to recomputing, so a stale or
 /// foreign store degrades to cold, never to wrong.
-///
-/// In-flight deduplication: `get_or_compute` claims a missing key before
-/// computing it, so concurrent callers of that key wait for the first
-/// one's result instead of repeating the work (see get_or_compute).
 template <typename T>
 class ArtifactCache {
  public:
+  using value_type = T;
   using DeepBytesFn = std::function<std::size_t(const T&)>;
   using EncodeFn = std::function<std::string(const T&)>;
   /// nullptr = malformed payload (the L2 entry is treated as a miss).
@@ -144,34 +150,11 @@ class ArtifactCache {
 
   explicit ArtifactCache(std::string name) : name_(std::move(name)) {}
 
-  [[nodiscard]] std::shared_ptr<const T> find(const std::string& key) {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (!enabled_) return nullptr;
-      if (auto hit = hit_l1(key)) return hit;
-      if (l2_ == nullptr) {
-        ++misses_;
-        return nullptr;
-      }
-    }
-    // L2 read-through, off-lock: disk I/O and decoding must not serialize
-    // the other workers' L1 hits.
-    return find_l2(key);
-  }
-
   /// Whether L1 holds `key`. Counts nothing and leaves the LRU order and
   /// L2 alone.
   [[nodiscard]] bool contains(const std::string& key) const {
     const std::lock_guard<std::mutex> lock(mu_);
     return enabled_ && map_.contains(key);
-  }
-
-  /// Stores `value` (first writer wins) and returns the stored artifact.
-  std::shared_ptr<const T> put(const std::string& key, T value) {
-    auto sp = std::make_shared<const T>(std::move(value));
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (!enabled_) return sp;
-    return install(key, std::move(sp), /*dirty=*/l2_ != nullptr);
   }
 
   /// Returns the artifact for `key`, computing it with `fn` on a miss.
@@ -233,10 +216,6 @@ class ArtifactCache {
     const std::lock_guard<std::mutex> lock(mu_);
     enabled_ = on;
   }
-  [[nodiscard]] bool enabled() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return enabled_;
-  }
 
   /// Installs the deep-payload-bytes hook used by the byte accounting
   /// (and therefore the --cache-cap-bytes LRU bound). Applies to entries
@@ -260,10 +239,6 @@ class ArtifactCache {
     l2_ = nullptr;
     l2_encode_ = nullptr;
     l2_decode_ = nullptr;
-  }
-  [[nodiscard]] bool has_l2() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return l2_ != nullptr;
   }
 
   /// Write-back flush: encodes every dirty entry into L2 and marks it
@@ -380,8 +355,8 @@ class ArtifactCache {
     return n;
   }
 
-  /// Inserts under mu_ (first writer wins); shared by put and the L2
-  /// read-through install.
+  /// Inserts a claimed key under mu_ (first writer wins); shared by the
+  /// compute and the L2 read-through install.
   std::shared_ptr<const T> install(const std::string& key,
                                    std::shared_ptr<const T> sp, bool dirty) {
     const auto it = map_.find(key);

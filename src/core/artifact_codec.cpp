@@ -1,5 +1,7 @@
 #include "core/artifact_codec.hpp"
 
+#include <type_traits>
+
 #include "core/binio.hpp"
 #include "core/blob_store.hpp"
 #include "layout/serialize.hpp"
@@ -18,7 +20,7 @@ constexpr std::uint8_t kPlacedArtVersion = 1;
 constexpr std::uint8_t kRouteArtVersion = 1;
 constexpr std::uint8_t kTimingArtVersion = 1;
 constexpr std::uint8_t kPowerArtVersion = 1;
-constexpr std::uint8_t kSliceEvalVersion = 1;
+constexpr std::uint8_t kSliceEvalVersion = 2;
 
 void encode_diags(BinWriter& w, const std::vector<Diagnostic>& diags) {
   w.u8(kDiagListVersion);
@@ -70,31 +72,6 @@ void check_version(BinReader& r, std::uint8_t expect, const char* what) {
   if (r.u8() != expect) {
     throw BinDecodeError(std::string("unsupported codec version for ") + what);
   }
-}
-
-/// Wraps a throwing decoder into the ArtifactCache DecodeFn contract
-/// (nullptr on any malformed payload — the L2 entry is then treated as a
-/// miss and the stage recomputes).
-template <typename T, typename Fn>
-auto decode_fn(Fn decode) {
-  return [decode](std::string_view payload) -> std::shared_ptr<const T> {
-    try {
-      return std::make_shared<const T>(decode(payload));
-    } catch (const BinDecodeError&) {
-      return nullptr;
-    }
-  };
-}
-
-template <typename T, typename Enc, typename Dec>
-void attach_tier(ArtifactCache<T>& tier, BlobStore* l2, Enc encode,
-                 Dec decode) {
-  if (l2 == nullptr) {
-    tier.detach_l2();
-    return;
-  }
-  tier.attach_l2(
-      l2, [encode](const T& v) { return encode(v); }, decode_fn<T>(decode));
 }
 
 }  // namespace
@@ -203,7 +180,6 @@ std::string encode_slice_eval(const SliceEval& e) {
   w.f64(e.min_write_period_ps);
   w.f64(e.mac_path_period_ps);
   w.f64(e.ofu_path_period_ps);
-  w.u64(e.gate_count);
   w.u32(static_cast<std::uint32_t>(e.groups.size()));
   for (const SliceEval::GroupCost& g : e.groups) {
     w.str(g.group);
@@ -223,7 +199,6 @@ SliceEval decode_slice_eval(std::string_view payload) {
   e.min_write_period_ps = r.f64();
   e.mac_path_period_ps = r.f64();
   e.ofu_path_period_ps = r.f64();
-  e.gate_count = static_cast<std::size_t>(r.u64());
   const std::uint32_t n = r.len(28);  // name length + three doubles
   e.groups.resize(n);
   for (SliceEval::GroupCost& g : e.groups) {
@@ -260,51 +235,87 @@ std::size_t deep_bytes(const SliceEval& e) {
 
 // --- store wiring ----------------------------------------------------------
 
+namespace {
+
+/// The L2 codec of one tier payload type.
+template <typename T>
+struct Codec {
+  std::string (*encode)(const T&);
+  T (*decode)(std::string_view);
+};
+
+// Every tier payload's codec, one overload per payload type, found by
+// type when a store attaches its blob store: a new tier's payload type
+// adds its overload here, and a payload type without one does not
+// compile.
+Codec<netlist::Module> codec(std::type_identity<netlist::Module>) {
+  return {netlist::encode_module, netlist::decode_module};
+}
+Codec<netlist::FlatBlock> codec(std::type_identity<netlist::FlatBlock>) {
+  return {netlist::encode_flat_block, netlist::decode_flat_block};
+}
+Codec<netlist::FlatNetlist> codec(std::type_identity<netlist::FlatNetlist>) {
+  return {netlist::encode_flat_netlist, netlist::decode_flat_netlist};
+}
+Codec<power::GroupActivityArtifact> codec(
+    std::type_identity<power::GroupActivityArtifact>) {
+  return {power::encode_group_activity, power::decode_group_activity};
+}
+Codec<LintArtifact> codec(std::type_identity<LintArtifact>) {
+  return {encode_lint_artifact, decode_lint_artifact};
+}
+Codec<PlacedArtifact> codec(std::type_identity<PlacedArtifact>) {
+  return {encode_placed_artifact, decode_placed_artifact};
+}
+Codec<RouteArtifact> codec(std::type_identity<RouteArtifact>) {
+  return {encode_route_artifact, decode_route_artifact};
+}
+Codec<TimingArtifact> codec(std::type_identity<TimingArtifact>) {
+  return {encode_timing_artifact, decode_timing_artifact};
+}
+Codec<PowerArtifact> codec(std::type_identity<PowerArtifact>) {
+  return {encode_power_artifact, decode_power_artifact};
+}
+Codec<power::ActivityModel> codec(std::type_identity<power::ActivityModel>) {
+  return {power::encode_activity_model, power::decode_activity_model};
+}
+Codec<SliceEval> codec(std::type_identity<SliceEval>) {
+  return {encode_slice_eval, decode_slice_eval};
+}
+
+template <typename Tier>
+using Payload = typename std::remove_cvref_t<Tier>::value_type;
+
+}  // namespace
+
 void install_deep_bytes(ArtifactStore& store) {
-  store.modules.set_deep_bytes(
-      [](const netlist::Module& m) { return netlist::deep_bytes(m); });
-  store.blocks.set_deep_bytes(
-      [](const netlist::FlatBlock& b) { return netlist::deep_bytes(b); });
-  store.flats.set_deep_bytes(
-      [](const netlist::FlatNetlist& nl) { return netlist::deep_bytes(nl); });
-  store.activity.set_deep_bytes([](const power::GroupActivityArtifact& a) {
-    return power::deep_bytes(a);
+  store.for_each_tier([](auto& tier) {
+    using T = Payload<decltype(tier)>;
+    tier.set_deep_bytes([](const T& v) { return deep_bytes(v); });
   });
-  store.lints.set_deep_bytes(
-      [](const LintArtifact& a) { return deep_bytes(a); });
-  store.placed.set_deep_bytes(
-      [](const PlacedArtifact& a) { return deep_bytes(a); });
-  store.routes.set_deep_bytes(
-      [](const RouteArtifact& a) { return deep_bytes(a); });
-  store.timings.set_deep_bytes(
-      [](const TimingArtifact& a) { return deep_bytes(a); });
-  store.powers.set_deep_bytes(
-      [](const PowerArtifact& a) { return deep_bytes(a); });
-  store.act_models.set_deep_bytes(
-      [](const power::ActivityModel& m) { return power::deep_bytes(m); });
-  store.slices.set_deep_bytes(
-      [](const SliceEval& e) { return deep_bytes(e); });
 }
 
 void attach_blob_store(ArtifactStore& store, BlobStore* l2) {
-  attach_tier(store.modules, l2, netlist::encode_module,
-              netlist::decode_module);
-  attach_tier(store.blocks, l2, netlist::encode_flat_block,
-              netlist::decode_flat_block);
-  attach_tier(store.flats, l2, netlist::encode_flat_netlist,
-              netlist::decode_flat_netlist);
-  attach_tier(store.activity, l2, power::encode_group_activity,
-              power::decode_group_activity);
-  attach_tier(store.lints, l2, encode_lint_artifact, decode_lint_artifact);
-  attach_tier(store.placed, l2, encode_placed_artifact,
-              decode_placed_artifact);
-  attach_tier(store.routes, l2, encode_route_artifact, decode_route_artifact);
-  attach_tier(store.timings, l2, encode_timing_artifact,
-              decode_timing_artifact);
-  attach_tier(store.powers, l2, encode_power_artifact, decode_power_artifact);
-  attach_tier(store.act_models, l2, power::encode_activity_model,
-              power::decode_activity_model);
-  attach_tier(store.slices, l2, encode_slice_eval, decode_slice_eval);
+  store.for_each_tier([l2](auto& tier) {
+    using T = Payload<decltype(tier)>;
+    if (l2 == nullptr) {
+      tier.detach_l2();
+      return;
+    }
+    const Codec<T> c = codec(std::type_identity<T>{});
+    // A malformed payload decodes to nullptr: the L2 entry is then a
+    // miss and the tier recomputes.
+    tier.attach_l2(
+        l2, c.encode,
+        [decode = c.decode](std::string_view payload)
+            -> std::shared_ptr<const T> {
+          try {
+            return std::make_shared<const T>(decode(payload));
+          } catch (const BinDecodeError&) {
+            return nullptr;
+          }
+        });
+  });
 }
 
 }  // namespace syndcim::core

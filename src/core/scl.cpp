@@ -68,7 +68,6 @@ SliceEval SubcircuitLibrary::characterize(const MacroConfig& cfg) const {
 
   SliceEval ev;
   ev.slice_cols = sc.cols;
-  ev.gate_count = flat.gates().size();
 
   // Characterize the slice post-placement so the searcher's estimates see
   // extracted wire parasitics (the cross-region accumulator and OFU nets

@@ -19,54 +19,24 @@ void ArtifactStore::attach_blob_store(BlobStore* l2) {
 
 std::size_t ArtifactStore::flush_l2() {
   std::size_t n = 0;
-  n += modules.flush_l2();
-  n += blocks.flush_l2();
-  n += flats.flush_l2();
-  n += activity.flush_l2();
-  n += lints.flush_l2();
-  n += placed.flush_l2();
-  n += routes.flush_l2();
-  n += timings.flush_l2();
-  n += powers.flush_l2();
-  n += act_models.flush_l2();
-  n += slices.flush_l2();
+  for_each_tier([&](auto& tier) { n += tier.flush_l2(); });
   return n;
 }
 
 void ArtifactStore::set_enabled(bool on) {
-  modules.set_enabled(on);
-  blocks.set_enabled(on);
-  flats.set_enabled(on);
-  activity.set_enabled(on);
-  lints.set_enabled(on);
-  placed.set_enabled(on);
-  routes.set_enabled(on);
-  timings.set_enabled(on);
-  powers.set_enabled(on);
-  act_models.set_enabled(on);
-  slices.set_enabled(on);
+  for_each_tier([&](auto& tier) { tier.set_enabled(on); });
 }
 
 void ArtifactStore::set_capacity(std::size_t max_entries,
                                  std::size_t max_bytes) {
-  modules.set_capacity(max_entries, max_bytes);
-  blocks.set_capacity(max_entries, max_bytes);
-  flats.set_capacity(max_entries, max_bytes);
-  activity.set_capacity(max_entries, max_bytes);
-  lints.set_capacity(max_entries, max_bytes);
-  placed.set_capacity(max_entries, max_bytes);
-  routes.set_capacity(max_entries, max_bytes);
-  timings.set_capacity(max_entries, max_bytes);
-  powers.set_capacity(max_entries, max_bytes);
-  act_models.set_capacity(max_entries, max_bytes);
-  slices.set_capacity(max_entries, max_bytes);
+  for_each_tier(
+      [&](auto& tier) { tier.set_capacity(max_entries, max_bytes); });
 }
 
 std::vector<ArtifactTierStats> ArtifactStore::stats() const {
-  return {modules.stats(), blocks.stats(),  flats.stats(),
-          activity.stats(), lints.stats(),  placed.stats(),
-          routes.stats(),  timings.stats(), powers.stats(),
-          act_models.stats(), slices.stats()};
+  std::vector<ArtifactTierStats> out;
+  for_each_tier([&](const auto& tier) { out.push_back(tier.stats()); });
+  return out;
 }
 
 std::uint64_t ArtifactStore::total_hits() const {
@@ -128,35 +98,18 @@ void ArtifactStore::publish_metrics(const std::string& prefix) const {
   reg.gauge(prefix + ".evicted").set(static_cast<double>(total_evicted()));
 }
 
-std::size_t StagePipeline::runs() const {
-  std::size_t n = 0;
-  for (const StageRecord& r : records_) n += r.skipped ? 0 : 1;
-  return n;
-}
-
-std::size_t StagePipeline::skips() const {
-  std::size_t n = 0;
-  for (const StageRecord& r : records_) n += r.skipped ? 1 : 0;
-  return n;
-}
-
 void StagePipeline::note(const std::string& stage, const std::string& key,
                          bool skipped, std::uint64_t t0) {
-  const std::uint64_t now = obs::now_ns();
-  StageRecord rec;
-  rec.stage = stage;
-  rec.key = key;
-  rec.skipped = skipped;
-  rec.wall_ms = static_cast<double>(now - t0) * 1e-6;
   if (obs::enabled()) {
     obs::metrics()
         .counter(skipped ? "pipeline.stage.skips" : "pipeline.stage.runs")
         .inc();
     if (skipped) {
-      obs::tracer().record(name_ + "." + stage + ".skip", t0, now - t0);
+      obs::tracer().record(name_ + "." + stage + ".skip", t0,
+                           obs::now_ns() - t0);
     }
   }
-  records_.push_back(std::move(rec));
+  records_.push_back({stage, key, skipped});
 }
 
 }  // namespace syndcim::core

@@ -86,7 +86,6 @@ struct SliceEval {
     double area_um2 = 0.0;
   };
   std::vector<GroupCost> groups;
-  std::size_t gate_count = 0;
 };
 
 /// Replays `diags` into `sink` (used when a cached artifact is spliced in
@@ -122,11 +121,26 @@ void replay_diags(const std::vector<Diagnostic>& diags, DiagEngine& sink);
 /// Disabling the store (`set_enabled(false)`) turns every tier into a
 /// silent bypass: the cold reference path runs the exact same code, which
 /// is what makes cold-vs-warm byte-identity testable.
+///
+/// Every tier is entered through ArtifactCache::get_or_compute (see its
+/// comment for the one concurrency rule). for_each_tier is the one list
+/// of tiers: the store-wide operations walk it, so adding a tier takes
+/// its member, its line there and its codec (artifact_codec.cpp).
 struct ArtifactStore {
   /// Installs the deep-payload-bytes accounting hooks on every tier
   /// (see artifact_codec.hpp), so byte caps bound real memory from the
   /// first insert.
   ArtifactStore();
+
+  /// Calls `f(tier)` on every tier, in declaration order.
+  template <typename F>
+  void for_each_tier(F&& f) {
+    visit_tiers(*this, f);
+  }
+  template <typename F>
+  void for_each_tier(F&& f) const {
+    visit_tiers(*this, f);
+  }
 
   rtlgen::ModuleCache modules{"modules"};
   netlist::FlatBlockCache blocks{"blocks"};
@@ -144,7 +158,6 @@ struct ArtifactStore {
   ArtifactCache<SliceEval> slices{"slices"};
 
   void set_enabled(bool on);
-  [[nodiscard]] bool enabled() const { return flats.enabled(); }
 
   /// Bounds every tier to `max_entries` entries / `max_bytes` approximate
   /// bytes (0 = unlimited), LRU-evicting past either cap — what keeps a
@@ -178,6 +191,22 @@ struct ArtifactStore {
   /// registry as `<prefix>.<tier>.{hits,misses,entries}` (no-op when
   /// observability is disabled).
   void publish_metrics(const std::string& prefix = "artifact") const;
+
+ private:
+  template <typename Store, typename F>
+  static void visit_tiers(Store& s, F& f) {
+    f(s.modules);
+    f(s.blocks);
+    f(s.flats);
+    f(s.activity);
+    f(s.lints);
+    f(s.placed);
+    f(s.routes);
+    f(s.timings);
+    f(s.powers);
+    f(s.act_models);
+    f(s.slices);
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -188,17 +217,16 @@ struct ArtifactStore {
 struct StageRecord {
   std::string stage;
   std::string key;       ///< artifact content key the stage ran under
-  bool skipped = false;  ///< true: artifact cache hit, stage body not run
-  double wall_ms = 0.0;
+  bool skipped = false;  ///< true: stage body not run (artifact reused)
 };
 
 /// Deterministic stage runner: each stage declares its input key and its
-/// artifact tier; when the tier already holds the key the stage body is
-/// skipped and the cached artifact spliced in. Stages always land in the
-/// attached phase timeline (skipped stages too — a skip is still a phase
-/// the compile went through, just a near-instant one), and skips emit
-/// `<pipeline>.<stage>.skip` trace spans plus `pipeline.stage.skips`
-/// metrics when observability is on.
+/// artifact tier; when the tier already holds the key, or another thread
+/// is computing it, the stage body is skipped and the tier's artifact
+/// spliced in. Stages always land in the attached phase timeline (skipped
+/// stages too — a skip is still a phase the compile went through, just a
+/// near-instant one), and skips emit `<pipeline>.<stage>.skip` trace
+/// spans plus `pipeline.stage.skips` metrics when observability is on.
 class StagePipeline {
  public:
   explicit StagePipeline(std::string name,
@@ -222,29 +250,23 @@ class StagePipeline {
     std::optional<obs::PhaseScope> phase;
     if (tl_ != nullptr) phase.emplace(*tl_, stage);
     const std::uint64_t t0 = obs::now_ns();
-    if (cache != nullptr) {
-      if (auto hit = cache->find(key)) {
-        note(stage, key, true, t0);
-        return hit;
-      }
-    }
-    std::optional<obs::SpanGuard> span;
-    if (tl_ == nullptr && obs::enabled()) span.emplace(name_ + "." + stage);
-    std::shared_ptr<const T> out;
-    if (cache != nullptr) {
-      out = cache->put(key, std::forward<F>(compute)());
-    } else {
-      out = std::make_shared<const T>(std::forward<F>(compute)());
-    }
-    note(stage, key, false, t0);
+    bool ran = false;
+    const auto body = [&] {
+      ran = true;
+      std::optional<obs::SpanGuard> span;
+      if (tl_ == nullptr && obs::enabled()) span.emplace(name_ + "." + stage);
+      return std::forward<F>(compute)();
+    };
+    std::shared_ptr<const T> out =
+        cache != nullptr ? cache->get_or_compute(key, body)
+                         : std::make_shared<const T>(body());
+    note(stage, key, !ran, t0);
     return out;
   }
 
   [[nodiscard]] const std::vector<StageRecord>& records() const {
     return records_;
   }
-  [[nodiscard]] std::size_t runs() const;
-  [[nodiscard]] std::size_t skips() const;
 
  private:
   void note(const std::string& stage, const std::string& key, bool skipped,

@@ -13,7 +13,7 @@ using core::deep_vec_bytes;
 namespace {
 
 constexpr std::uint8_t kModuleVersion = 1;
-constexpr std::uint8_t kBlockVersion = 1;
+constexpr std::uint8_t kBlockVersion = 2;
 constexpr std::uint8_t kFlatVersion = 1;
 
 void check_version(BinReader& r, std::uint8_t expect, const char* what) {
@@ -180,7 +180,6 @@ std::string encode_flat_block(const FlatBlock& b) {
       w.u32(pc.net.index);
     }
   }
-  w.str(b.content_key);
   return w.take();
 }
 
@@ -240,7 +239,6 @@ FlatBlock decode_flat_block(std::string_view payload) {
     }
     b.gates.push_back(std::move(g));
   }
-  b.content_key = r.str();
   r.expect_end();
   return b;
 }
@@ -249,7 +247,7 @@ std::size_t deep_bytes(const FlatBlock& b) {
   std::size_t n = deep_vec_bytes(b.ports) + deep_vec_bytes(b.slot_nets) +
                   deep_vec_bytes(b.internals) + deep_vec_bytes(b.alloc_seq) +
                   deep_vec_bytes(b.master_names) + deep_vec_bytes(b.pin_names) +
-                  deep_vec_bytes(b.gates) + deep_str_bytes(b.content_key);
+                  deep_vec_bytes(b.gates);
   for (const FlatBlock::PortInfo& p : b.ports) n += deep_str_bytes(p.name);
   for (const FlatBlock::InternalNet& in : b.internals) {
     n += deep_str_bytes(in.suffix);

@@ -269,11 +269,6 @@ void splice_block(StitchCtx& ctx, const FlatBlock& blk, std::uint32_t group,
 
 }  // namespace
 
-std::string module_content_hash(const Design& d, const std::string& name) {
-  std::map<std::string, std::string> memo;
-  return memoized_hash(d, name, memo);
-}
-
 FlatBlock flatten_block(const Design& d, const std::string& module_name) {
   const Module& m = d.module(module_name);
   FlatBlock blk;
@@ -296,7 +291,6 @@ FlatBlock flatten_block(const Design& d, const std::string& module_name) {
   }
 
   expand_into_block(ctx, m, port_refs);
-  blk.content_key = module_content_hash(d, module_name);
   return blk;
 }
 
@@ -354,11 +348,6 @@ StitchResult stitch_flatten(const Design& d, const std::string& top,
     return slot;
   };
 
-  core::ArtifactHasher key_hasher;
-  key_hasher.str("nl1");
-  key_hasher.str(top);
-  key_hasher.str(memoized_hash(d, top, hash_memo));
-
   for (const Instance& inst : m.instances()) {
     if (inst.is_cell) {
       FlatNetlist::Gate g;
@@ -402,24 +391,21 @@ StitchResult stitch_flatten(const Design& d, const std::string& top,
       blk = lit->second;
       ++res.stats.blocks_reused;
     } else {
-      const std::string& key = memoized_hash(d, inst.master, hash_memo);
-      if (cache) blk = cache->find(key);
-      if (blk) {
-        ++res.stats.blocks_reused;
-      } else {
-        FlatBlock built = flatten_block(d, inst.master);
-        ++res.stats.blocks_built;
-        blk = cache ? cache->put(key, std::move(built))
-                    : std::make_shared<const FlatBlock>(std::move(built));
-      }
+      bool built = false;
+      const auto build = [&] {
+        built = true;
+        return flatten_block(d, inst.master);
+      };
+      blk = cache ? cache->get_or_compute(
+                        memoized_hash(d, inst.master, hash_memo), build)
+                  : std::make_shared<const FlatBlock>(build());
+      ++(built ? res.stats.blocks_built : res.stats.blocks_reused);
       local.emplace(inst.master, blk);
     }
     res.stats.gates_spliced += blk->gate_count();
     ++res.stats.blocks_spliced;
     splice_block(ctx, *blk, group, sub_ports);
   }
-
-  res.netlist_key = key_hasher.hex();
   return res;
 }
 

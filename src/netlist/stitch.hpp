@@ -67,24 +67,18 @@ struct FlatBlock {
   std::vector<std::string> master_names;  ///< block-local, first-use order
   std::vector<std::string> pin_names;
   std::vector<Gate> gates;
-  /// Structural content hash of the module subtree this block expands
-  /// (also the block's cache key): parameters in, block out.
-  std::string content_key;
 
   [[nodiscard]] std::size_t gate_count() const { return gates.size(); }
 };
 
 /// Shared block tier of the subcircuit-artifact cache: blocks are keyed by
-/// module content hash, so identical subcircuits reuse one expansion
-/// across instances, configurations, specs and worker threads.
+/// a canonical 128-bit structural hash of the module subtree (local net
+/// names/ties, ports, instance names, cell masters, connections, and
+/// recursively every submodule master's hash; the module's own name is
+/// excluded — identity is structure, not label), so identical subcircuits
+/// reuse one expansion across instances, configurations, specs and
+/// worker threads.
 using FlatBlockCache = core::ArtifactCache<FlatBlock>;
-
-/// Canonical 128-bit structural hash (hex) of the module subtree rooted at
-/// `name`: local net names/ties, ports, instance names, cell masters,
-/// connections, and recursively the content of every submodule master.
-/// The module's own name is excluded — identity is structure, not label.
-[[nodiscard]] std::string module_content_hash(const Design& d,
-                                              const std::string& name);
 
 /// Flattens the subtree of one module into a splice-ready block.
 /// Throws std::invalid_argument on unconnected submodule input ports, like
@@ -101,9 +95,6 @@ struct StitchStats {
 
 struct StitchResult {
   FlatNetlist nl;
-  /// Content address of the flattened design (top structure hash + top
-  /// name); downstream stage keys build on it.
-  std::string netlist_key;
   StitchStats stats;
 };
 

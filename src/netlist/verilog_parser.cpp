@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -100,9 +101,17 @@ RawModule parse_module(Lexer& lex, core::DiagEngine* diag) {
   RawModule m;
   m.name = lex.next().text;
   lex.expect("(");
+  // Port list: bare names take their direction from body declarations;
+  // in an ANSI list a direction keyword declares the names that follow.
+  std::optional<PortDir> ansi_dir;
   if (!lex.peek().is(")")) {
     while (true) {
-      lex.next();  // port order list; directions come from declarations
+      Token t = lex.next();
+      if (t.is("input") || t.is("output")) {
+        ansi_dir = t.is("input") ? PortDir::kIn : PortDir::kOut;
+        t = lex.next();
+      }
+      if (ansi_dir) m.ports.emplace_back(t.text, *ansi_dir);
       if (lex.peek().is(",")) {
         lex.next();
         continue;

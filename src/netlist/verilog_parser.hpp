@@ -8,7 +8,9 @@
 namespace syndcim::netlist {
 
 /// Parses the structural-Verilog subset emitted by write_verilog():
-/// scalar ports/wires, constant assigns, named-port instances. Instance
+/// scalar ports/wires, constant assigns, named-port instances. Port
+/// directions come from body declarations or from an ANSI port list
+/// (`module top(input a, b, output y);`). Instance
 /// masters that match a parsed module become submodule instances;
 /// everything else is a library-cell reference.
 ///

@@ -246,27 +246,37 @@ ActivityModel propagate_activity_grouped(const netlist::FlatNetlist& nl,
     for (const std::uint32_t net : touched) h.dbl(am.p_one[net]);
     const std::string key = h.hex();
 
-    std::shared_ptr<const GroupActivityArtifact> art;
-    if (cache) art = cache->find(key);
-    if (art && art->driven.size() == driven_list.size()) {
-      for (std::size_t j = 0; j < driven_list.size(); ++j) {
-        am.p_one[driven_list[j]] = art->driven[j].first;
-        am.toggle_rate[driven_list[j]] = art->driven[j].second;
-      }
-      if (stats) ++stats->group_hits;
-    } else {
+    bool ran = false;
+    const auto run_cone = [&] {
+      ran = true;
       if (kernel) {
         kernel->run_members(members, spec, am);
       } else {
         fixpoint_scalar(gates, members.data(), members.size(), spec, am);
       }
-      if (cache) {
+    };
+    if (cache == nullptr) {
+      run_cone();
+    } else {
+      const auto art = cache->get_or_compute(key, [&] {
+        run_cone();
         GroupActivityArtifact out;
         out.driven.reserve(driven_list.size());
         for (const std::uint32_t net : driven_list) {
           out.driven.emplace_back(am.p_one[net], am.toggle_rate[net]);
         }
-        cache->put(key, std::move(out));
+        return out;
+      });
+      // A hit may be an L2 object from disk: splice it only if it fits
+      // this cone, and recompute the cone otherwise.
+      if (!ran && art->driven.size() == driven_list.size()) {
+        for (std::size_t j = 0; j < driven_list.size(); ++j) {
+          am.p_one[driven_list[j]] = art->driven[j].first;
+          am.toggle_rate[driven_list[j]] = art->driven[j].second;
+        }
+        if (stats) ++stats->group_hits;
+      } else if (!ran) {
+        run_cone();
       }
     }
     for (const std::uint32_t net : touched) local_of[net] = UINT32_MAX;

@@ -1,6 +1,7 @@
 #include "rtlgen/macro.hpp"
 
 #include <bit>
+#include <optional>
 #include <stdexcept>
 
 #include "num/alignment.hpp"
@@ -218,6 +219,10 @@ Module gen_column(const MacroConfig& cfg, const std::string& tree_mod,
   return m;
 }
 
+/// Builds the top module `name` (defined after gen_macro, which emits it
+/// through the module tier like every subcircuit).
+Module gen_top(const MacroConfig& cfg, const std::string& name);
+
 }  // namespace
 
 std::vector<std::string> MacroDesign::static_control_ports() const {
@@ -273,23 +278,26 @@ MacroDesign gen_macro(const MacroConfig& cfg, ModuleCache* modules) {
   const int am_bits =
       fp ? num::aligned_mant_bits(*fp, cfg.fp_guard_bits) : 0;
 
-  // Emits one subcircuit module under its content key: served from the
-  // module tier when available, generated (and published) otherwise.
+  // Emits one module under its content key: from the module tier when
+  // one is given, generated otherwise. On a miss the tier keeps an
+  // exact-capacity copy and the design takes the generated original, so
+  // no long-lived entry carries the generator's push_back slack.
   const auto emit = [&](const std::string& name, const std::string& key,
                         auto&& gen) {
-    const std::string full = key + "|" + name;
-    md.module_keys.emplace(name, full);
-    if (modules) {
-      if (const auto hit = modules->find(full)) {
-        md.design.add_module(*hit);
-        return;
-      }
-      Module m = gen();
-      modules->put(full, m);
-      md.design.add_module(std::move(m));
+    if (modules == nullptr) {
+      md.design.add_module(gen());
       return;
     }
-    md.design.add_module(gen());
+    std::optional<Module> built;
+    const auto m = modules->get_or_compute(key + "|" + name, [&] {
+      built = gen();
+      return Module(*built);
+    });
+    if (built) {
+      md.design.add_module(std::move(*built));
+    } else {
+      md.design.add_module(*m);
+    }
   };
 
   // --- subcircuit modules ---
@@ -331,16 +339,27 @@ MacroDesign gen_macro(const MacroConfig& cfg, ModuleCache* modules) {
        [&] { return gen_column(cfg, "tree", "sa"); });
 
   // --- top ---
-  const std::string top_key =
-      "top1-" + config_content_key(cfg) + "|" + md.top;
-  md.module_keys.emplace(md.top, top_key);
-  if (modules) {
-    if (const auto hit = modules->find(top_key)) {
-      md.design.add_module(*hit);
-      return md;
-    }
-  }
-  Module top(md.top);
+  emit(md.top, "top1-" + config_content_key(cfg),
+       [&] { return gen_top(cfg, md.top); });
+  return md;
+}
+
+namespace {
+
+/// Builds the top module `name`: ports, the alignment unit, WL driver,
+/// write port, columns and OFU groups, with per-cycle controls reaching
+/// the columns through distribution trees.
+Module gen_top(const MacroConfig& cfg, const std::string& name) {
+  const int rows = cfg.rows, cols = cfg.cols, mcr = cfg.mcr;
+  const int ib_max = cfg.max_input_bits();
+  const int wp_max = cfg.max_weight_bits();
+  const int w = cfg.sa_width();
+  const num::FpFormat* fp = widest_fp(cfg);
+  const int am_bits =
+      fp ? num::aligned_mant_bits(*fp, cfg.fp_guard_bits) : 0;
+  const OfuModuleConfig ocfg{wp_max, w, cfg.ofu};
+
+  Module top(name);
   const NetId clk = top.add_port("clk", PortDir::kIn);
   const NetId neg = top.add_port("neg", PortDir::kIn);
   const NetId clr = top.add_port("clr", PortDir::kIn);
@@ -539,9 +558,9 @@ MacroDesign gen_macro(const MacroConfig& cfg, ModuleCache* modules) {
                       std::move(conns));
   }
 
-  if (modules) modules->put(top_key, top);
-  md.design.add_module(std::move(top));
-  return md;
+  return top;
 }
+
+}  // namespace
 
 }  // namespace syndcim::rtlgen

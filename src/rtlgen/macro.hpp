@@ -1,5 +1,4 @@
 #pragma once
-#include <map>
 #include <string>
 
 #include "core/artifact_cache.hpp"
@@ -37,10 +36,6 @@ struct MacroDesign {
   netlist::Design design;
   std::string top = "dcim_macro";
   MacroConfig cfg;
-  /// Content key of every generated subcircuit module, by module name
-  /// (see rtlgen/content_key.hpp): the stable artifact address each
-  /// module was — or could have been — cached under.
-  std::map<std::string, std::string> module_keys;
 
   /// Cycles after `load` until the S&A accumulator has the full result.
   [[nodiscard]] int sa_done_cycles(int input_bits) const {
@@ -72,9 +67,9 @@ struct MacroDesign {
 };
 
 /// Elaborates the complete macro (validates `cfg` first). With `modules`
-/// set, each subcircuit is looked up by content key before generating and
-/// newly generated modules are published for later calls — the output is
-/// identical either way (cached modules are exact copies).
+/// set, each subcircuit and the top module come from that tier under
+/// their content keys (see rtlgen/content_key.hpp), generated on a miss —
+/// the output is identical either way (cached modules are exact copies).
 [[nodiscard]] MacroDesign gen_macro(const MacroConfig& cfg);
 [[nodiscard]] MacroDesign gen_macro(const MacroConfig& cfg,
                                     ModuleCache* modules);

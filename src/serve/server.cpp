@@ -179,18 +179,22 @@ void Server::acceptor_loop() {
     pfd.events = POLLIN;
     const int r = ::poll(&pfd, 1, 200);
     if (draining_.load()) break;
+    {
+      // Reap connections whose reader has finished on every wake-up, the
+      // poll timeout included, so a long-running daemon keeps no thread
+      // or buffer per closed connection even when no new one arrives.
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      std::erase_if(conns_, [](const std::shared_ptr<Connection>& c) {
+        if (!c->finished.load()) return false;
+        c->reader.join();
+        return true;
+      });
+    }
     if (r <= 0) continue;  // timeout / EINTR
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
 
     std::lock_guard<std::mutex> lock(conns_mu_);
-    // Reap connections whose reader has finished, so a long-running
-    // daemon keeps no thread or buffer per closed connection.
-    std::erase_if(conns_, [](const std::shared_ptr<Connection>& c) {
-      if (!c->finished.load()) return false;
-      c->reader.join();
-      return true;
-    });
     std::size_t open = 0;
     for (const auto& c : conns_) {
       if (c->open.load()) ++open;
@@ -217,7 +221,9 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
   obs::tracer().set_thread_name("serve.reader#" + std::to_string(conn->id));
   std::string buf;
   std::size_t scanned = 0;  // prefix of buf already searched for '\n'
-  char chunk[4096];
+  // Up to 64 KiB per recv: a request line of a few hundred KiB (a served
+  // netlist) arrives in a handful of reads and appends.
+  char chunk[64 * 1024];
   while (true) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;

@@ -288,7 +288,7 @@ TEST(ArtifactCodec, SliceEvalRoundTripsBitIdentical) {
   const core::SliceEval back = core::decode_slice_eval(bytes);
   EXPECT_EQ(core::encode_slice_eval(back), bytes);
   EXPECT_EQ(back.min_period_ps, p.slice.min_period_ps);
-  EXPECT_EQ(back.gate_count, p.slice.gate_count);
+  EXPECT_EQ(back.slice_cols, p.slice.slice_cols);
   ASSERT_EQ(back.groups.size(), p.slice.groups.size());
   EXPECT_EQ(back.groups.back().group, p.slice.groups.back().group);
   EXPECT_EQ(back.groups.back().area_um2, p.slice.groups.back().area_um2);
@@ -455,7 +455,7 @@ TEST(ArtifactStoreL2, FlushThenWarmFindServesDecodedPayload) {
     core::DiskBlobStore disk(root);
     core::ArtifactStore as;
     as.attach_blob_store(&disk);
-    (void)as.flats.put(key, p.flat);
+    (void)as.flats.get_or_compute(key, [&] { return p.flat; });
     EXPECT_EQ(as.flush_l2(), 1u);
     // A second flush has nothing dirty left.
     EXPECT_EQ(as.flush_l2(), 0u);
@@ -465,15 +465,20 @@ TEST(ArtifactStoreL2, FlushThenWarmFindServesDecodedPayload) {
   core::DiskBlobStore disk(root);
   core::ArtifactStore as;
   as.attach_blob_store(&disk);
-  const auto hit = as.flats.find(key);
+  const auto stored = [] {
+    ADD_FAILURE() << "recomputed a stored key";
+    return netlist::FlatNetlist{};
+  };
+  const auto hit = as.flats.get_or_compute(key, stored);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(netlist::encode_flat_netlist(*hit),
             netlist::encode_flat_netlist(p.flat));
   EXPECT_EQ(sum_l2_hits(as.stats()), 1u);
   // L2-served entries are clean: nothing to write back.
   EXPECT_EQ(as.flush_l2(), 0u);
-  // Second find is a pure L1 hit.
-  ASSERT_NE(as.flats.find(key), nullptr);
+  // Second lookup is a pure L1 hit.
+  ASSERT_TRUE(as.flats.contains(key));
+  ASSERT_NE(as.flats.get_or_compute(key, stored), nullptr);
   EXPECT_EQ(sum_l2_hits(as.stats()), 1u);
 }
 
@@ -487,8 +492,8 @@ TEST(ArtifactStoreL2, CorruptObjectFallsBackToRecompute) {
   {
     core::ArtifactStore as;
     as.attach_blob_store(&disk);
-    (void)as.flats.put(flat_key, p.flat);
-    (void)as.slices.put(slice_key, p.slice);
+    (void)as.flats.get_or_compute(flat_key, [&] { return p.flat; });
+    (void)as.slices.get_or_compute(slice_key, [&] { return p.slice; });
     as.flush_l2();
   }
   for (const auto& [tier, key] : {std::pair<const char*, std::string>{
@@ -503,15 +508,20 @@ TEST(ArtifactStoreL2, CorruptObjectFallsBackToRecompute) {
   core::DiskBlobStore disk2(root);
   core::ArtifactStore as;
   as.attach_blob_store(&disk2);
-  EXPECT_EQ(as.flats.find(flat_key), nullptr);  // miss, not garbage
   // get_or_compute reads through, rejects the flipped object and
-  // recomputes instead.
+  // recomputes instead: a miss, not garbage.
+  bool flat_recomputed = false;
+  (void)as.flats.get_or_compute(flat_key, [&] {
+    flat_recomputed = true;
+    return p.flat;
+  });
+  EXPECT_TRUE(flat_recomputed);
   const auto slice = as.slices.get_or_compute(slice_key, [&] {
     core::SliceEval e = p.slice;
-    e.gate_count += 1;
+    e.slice_cols += 1;
     return e;
   });
-  EXPECT_EQ(slice->gate_count, p.slice.gate_count + 1);
+  EXPECT_EQ(slice->slice_cols, p.slice.slice_cols + 1);
   for (const auto& t : as.stats()) {
     if (t.name != "flats" && t.name != "slices") continue;
     EXPECT_EQ(t.hits, 0u) << t.name;
@@ -714,7 +724,8 @@ TEST(EvalCachePersistence, SaveIsAtomicAndLeavesNoTempFile) {
   core::DiskBlobStore bad(file + "/sub");
   core::ArtifactStore lost;
   lost.attach_blob_store(&bad);
-  (void)lost.slices.put(slice_key(cfgs[0]), *scl.slice(cfgs[0]));
+  (void)lost.slices.get_or_compute(slice_key(cfgs[0]),
+                                   [&] { return *scl.slice(cfgs[0]); });
   EXPECT_EQ(lost.slices.flush_l2(), 0u);
   EXPECT_EQ(lost.slices.stats().l2_write_fails, 1u);
   EXPECT_FALSE(std::filesystem::exists(file + "/sub"));

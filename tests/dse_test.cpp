@@ -1,13 +1,14 @@
 // Unit + determinism tests of the src/dse subsystem and the memo layer it
 // evaluates through: config/spec hashing, evaluation-cache accounting,
-// ArtifactCache in-flight deduplication, concurrent SubcircuitLibrary
-// evaluation, the work-stealing pool, and search/sweep reproducibility
-// across runs and thread counts.
+// ArtifactCache in-flight deduplication (also through StagePipeline and
+// gen_macro), concurrent SubcircuitLibrary evaluation, the work-stealing
+// pool, and search/sweep reproducibility across runs and thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -17,11 +18,14 @@
 #include "core/artifact_cache.hpp"
 #include "core/compiler.hpp"
 #include "core/searcher.hpp"
+#include "core/stage.hpp"
 #include "dse/eval_cache.hpp"
 #include "dse/pool.hpp"
 #include "dse/sweep.hpp"
+#include "netlist/verilog.hpp"
 #include "obs/obs.hpp"
 #include "rtlgen/content_key.hpp"
+#include "rtlgen/macro.hpp"
 #include "tech/tech_node.hpp"
 
 using namespace syndcim;
@@ -79,11 +83,22 @@ void expect_same_outcome(const core::EvalOutcome& a,
 }
 
 /// Blocks the calling compute function until `n` other callers wait on
-/// its claim.
-void await_waiters(const core::ArtifactCache<int>& cache, std::uint64_t n) {
-  while (cache.stats().inflight_waits < n) {
+/// its claim, or 10 s pass: a caller that never waits fails the test's
+/// counts instead of hanging it.
+template <typename T>
+void await_waiters(const core::ArtifactCache<T>& cache, std::uint64_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (cache.stats().inflight_waits < n &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+}
+
+/// Blocks until another thread has claimed a key of the empty `cache`.
+template <typename T>
+void await_claim(const core::ArtifactCache<T>& cache) {
+  while (cache.stats().misses == 0) std::this_thread::yield();
 }
 
 }  // namespace
@@ -325,7 +340,7 @@ TEST(ArtifactCacheInflight, WaitIsTracedApartFromCompute) {
     });
   });
   std::thread waiter([&] {
-    while (cache.stats().misses == 0) std::this_thread::yield();
+    await_claim(cache);
     (void)cache.get_or_compute("k", [] { return 2; });
   });
   claimant.join();
@@ -345,6 +360,61 @@ TEST(ArtifactCacheInflight, WaitIsTracedApartFromCompute) {
   ASSERT_NE(compute_tid, -1);
   EXPECT_NE(wait_tid, compute_tid) << "the wait is its own span on the waiter";
   EXPECT_EQ(*cache.get_or_compute("k", [] { return 3; }), 1);
+}
+
+TEST(ArtifactTierClaim, StagePipelineWaitsForAClaimedKey) {
+  core::ArtifactCache<int> cache("t");
+  std::atomic<int> computes{0};
+  std::thread claimant([&] {
+    (void)cache.get_or_compute("k", [&] {
+      computes.fetch_add(1);
+      await_waiters(cache, 1);
+      return 7;
+    });
+  });
+  await_claim(cache);
+  core::StagePipeline pipe("test");
+  const auto got = pipe.run("stage", &cache, "k", [&] {
+    computes.fetch_add(1);
+    return 8;
+  });
+  claimant.join();
+
+  EXPECT_EQ(*got, 7) << "the stage took the claimant's artifact";
+  EXPECT_EQ(computes.load(), 1);
+  EXPECT_EQ(cache.stats().inflight_waits, 1u);
+  ASSERT_EQ(pipe.records().size(), 1u);
+  EXPECT_TRUE(pipe.records()[0].skipped) << "a waited-for result is a skip";
+}
+
+TEST(ArtifactTierClaim, GenMacroWaitsForAClaimedModule) {
+  const rtlgen::MacroConfig cfg = small_spec().base_config();
+  const rtlgen::MacroDesign want = rtlgen::gen_macro(cfg);
+  rtlgen::ModuleCache modules("modules");
+  std::atomic<int> computes{0};
+  std::thread claimant([&] {
+    // The top module's key, as gen_macro looks it up.
+    const std::string key =
+        "top1-" + rtlgen::config_content_key(cfg) + "|" + want.top;
+    (void)modules.get_or_compute(key, [&] {
+      computes.fetch_add(1);
+      await_waiters(modules, 1);
+      return netlist::Module(want.design.module(want.top));
+    });
+  });
+  await_claim(modules);
+  const rtlgen::MacroDesign got = rtlgen::gen_macro(cfg, &modules);
+  claimant.join();
+
+  EXPECT_EQ(computes.load(), 1);
+  const core::ArtifactTierStats st = modules.stats();
+  EXPECT_EQ(st.inflight_waits, 1u);
+  EXPECT_EQ(st.hits, 1u) << "only the top, taken from the claimant";
+  EXPECT_EQ(st.misses, st.entries);
+  std::ostringstream a, b;
+  netlist::write_verilog(want.design, want.top, a);
+  netlist::write_verilog(got.design, got.top, b);
+  EXPECT_EQ(b.str(), a.str());
 }
 
 TEST(SubcircuitLibraryConcurrency, FourThreadsMatchSequentialBitForBit) {
@@ -496,6 +566,34 @@ TEST(SweepDeterminism, ThreadCountDoesNotChangeTheFrontier) {
                        b.per_spec[i].result.explored);
     expect_same_points(a.per_spec[i].result.pareto,
                        b.per_spec[i].result.pareto);
+  }
+}
+
+TEST(SweepDeterminism, TierTrafficDoesNotDependOnThreadCount) {
+  dse::SweepGrid grid;
+  grid.base = small_spec();
+  grid.mac_freqs_mhz = {250.0, 400.0};
+  grid.prefs = {{1.0, 1.0, 0.0}, {2.0, 0.5, 0.0}};
+  const std::vector<core::PerfSpec> specs = grid.expand();
+
+  dse::SweepOptions seq;
+  seq.threads = 1;
+  dse::SweepOptions par;
+  par.threads = 4;
+  const dse::SweepReport a = dse::run_sweep(test_library(), specs, seq);
+  const dse::SweepReport b = dse::run_sweep(test_library(), specs, par);
+
+  // Every tier computes a missing key once, whichever thread gets there
+  // first, so hits, misses and entries are the same at any thread count.
+  ASSERT_EQ(a.artifacts.size(), b.artifacts.size());
+  for (std::size_t i = 0; i < a.artifacts.size(); ++i) {
+    const core::ArtifactTierStats& x = a.artifacts[i];
+    const core::ArtifactTierStats& y = b.artifacts[i];
+    EXPECT_EQ(y.name, x.name);
+    EXPECT_EQ(y.hits, x.hits) << x.name;
+    EXPECT_EQ(y.misses, x.misses) << x.name;
+    EXPECT_EQ(y.entries, x.entries) << x.name;
+    EXPECT_EQ(x.misses, x.entries) << x.name;
   }
 }
 

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
+#include "core/diag.hpp"
 #include "netlist/design.hpp"
 #include "netlist/flatten.hpp"
 #include "netlist/module.hpp"
+#include "netlist/verilog.hpp"
+#include "netlist/verilog_parser.hpp"
 
 namespace {
 using namespace syndcim::netlist;
@@ -208,6 +213,36 @@ TEST(Flatten, MasterAndPinInterning) {
     if (f.master_names()[g.master] == "HAX1") ++ha;
   }
   EXPECT_EQ(ha, 2);
+}
+
+/// Parses `src` (recording findings in `diag`) and prints module `top`
+/// back with write_verilog.
+std::string reprint(const std::string& src, syndcim::core::DiagEngine& diag) {
+  std::istringstream is(src);
+  const Design d = parse_verilog(is, &diag);
+  std::ostringstream os;
+  write_verilog(d, "top", os);
+  return os.str();
+}
+
+TEST(VerilogParser, AnsiPortListMatchesBodyDeclarations) {
+  const std::string body =
+      "  wire n1;\n"
+      "  AND2X1 u1(.A(a), .B(b), .Y(n1));\n"
+      "  BUFX1 u2(.A(n1), .Y(y));\n"
+      "endmodule\n";
+  syndcim::core::DiagEngine diag;
+  const std::string want = reprint(
+      "module top(a, b, y);\n  input a;\n  input b;\n  output y;\n" + body,
+      diag);
+  // A direction applies to every name after it, up to the next one.
+  EXPECT_EQ(reprint("module top(input a, input b, output y);\n" + body, diag),
+            want);
+  EXPECT_EQ(reprint("module top(input a, b, output y);\n" + body, diag),
+            want);
+  EXPECT_EQ(diag.error_count(), 0u) << diag.summary();
+  EXPECT_NE(want.find("input a;"), std::string::npos) << want;
+  EXPECT_NE(want.find("output y;"), std::string::npos) << want;
 }
 
 }  // namespace
