@@ -2,25 +2,23 @@
 // event-driven GateSim vs the retained scalar seed engine
 // (sim::ScalarGateSim), single-threaded, on a generated DCIM macro.
 //
-// Three arms drive the same random stimulus schedule (the word arms share
-// one precomputed 64-lane word stream; the scalar arm replays its lane 0):
+// Two arms drive the same random stimulus schedule (the packed arm runs a
+// precomputed 64-lane word stream; the scalar arm replays its lane 0):
 //
 //   1. scalar  — ScalarGateSim: one workload cycle per step, per-bit
 //                string-keyed stimulus (the seed engine's hot path)
-//   2. sweep64 — GateSim lanes=64, event scheduling off (control arm)
-//   3. event64 — GateSim lanes=64, per-level dirty-gate worklist
+//   2. event64 — GateSim lanes=64, per-level dirty-gate worklist
 //
 // Throughput is workload cycles per wall second: steps x lanes / wall, so
 // each arm is credited for the independent stimulus streams it carries.
 // Before timing, lane 0 of the packed engine is cross-checked against a
-// scalar replay (values and toggles on every net), and the two word arms
-// must agree on every net word and toggle count.
+// scalar replay on every net value.
 //
 // Prints per-arm throughput plus scheduler statistics; `--json FILE`
 // dumps the numbers and `--metrics FILE` writes the obs metrics registry
 // (sim.gate_evals / sim.events_skipped / sim.lanes). Exits nonzero if the
 // event-driven 64-lane arm is not at least 8x the scalar throughput or
-// any equivalence check fails.
+// the lane-0 cross-check fails.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -99,7 +97,7 @@ int main(int argc, char** argv) {
   const auto md = rtlgen::gen_macro(bench_cfg());
   const auto flat = netlist::flatten(md.design, md.top);
   const auto& ins = flat.primary_inputs();
-  std::printf("macro netlist: %zu gates, %u nets, %zu primary inputs\n",
+  std::printf("macro netlist: %zu gates, %zu nets, %zu primary inputs\n",
               flat.gates().size(), flat.net_count(), ins.size());
 
   // One shared 64-lane stimulus stream; the scalar arm replays lane 0.
@@ -111,25 +109,21 @@ int main(int argc, char** argv) {
     for (auto& w : step) w = rng();
   }
 
-  // --- equivalence self-checks (untimed) -------------------------------
+  // --- equivalence self-check (untimed) --------------------------------
   {
-    sim::GateSim packed(flat, lib, 64, /*event_driven=*/true);
-    sim::GateSim sweep(flat, lib, 64, /*event_driven=*/false);
+    sim::GateSim packed(flat, lib, 64);
     sim::ScalarGateSim ref(flat, lib);
     const int check = std::min(cycles, 48);
     for (int t = 0; t < check; ++t) {
       for (std::size_t i = 0; i < ins.size(); ++i) {
         packed.set_input_word(ins[i].name, stim[static_cast<std::size_t>(t)][i]);
-        sweep.set_input_word(ins[i].name, stim[static_cast<std::size_t>(t)][i]);
         ref.set_input(ins[i].name,
                       static_cast<int>(stim[static_cast<std::size_t>(t)][i] & 1u));
       }
       packed.step();
-      sweep.step();
       ref.step();
     }
     packed.eval();
-    sweep.eval();
     ref.eval();
     for (std::uint32_t n = 0; n < flat.net_count(); ++n) {
       if (static_cast<int>(packed.net_word(n) & 1u) != ref.net_value(n)) {
@@ -137,14 +131,8 @@ int main(int argc, char** argv) {
                   << " disagrees with the scalar reference\n";
         return 1;
       }
-      if (packed.net_word(n) != sweep.net_word(n) ||
-          packed.net_toggles()[n] != sweep.net_toggles()[n]) {
-        std::cerr << "FAIL: event-driven and full-sweep arms disagree on "
-                     "net " << n << "\n";
-        return 1;
-      }
     }
-    std::printf("equivalence self-checks passed (%d cycles)\n", check);
+    std::printf("lane-0 scalar cross-check passed (%d cycles)\n", check);
   }
 
   // --- timed arms ------------------------------------------------------
@@ -163,8 +151,8 @@ int main(int argc, char** argv) {
     r.throughput = static_cast<double>(cycles) / r.wall_s;
     return r;
   };
-  auto run_packed = [&](bool event_driven) {
-    sim::GateSim s(flat, lib, 64, event_driven);
+  auto run_packed = [&]() {
+    sim::GateSim s(flat, lib, 64);
     const auto t0 = std::chrono::steady_clock::now();
     for (int t = 0; t < cycles; ++t) {
       for (std::size_t i = 0; i < ins.size(); ++i) {
@@ -181,11 +169,9 @@ int main(int argc, char** argv) {
   };
 
   const ArmResult scalar = run_scalar();
-  const ArmResult sweep64 = run_packed(false);
-  const ArmResult event64 = run_packed(true);
+  const ArmResult event64 = run_packed();
 
   const double speedup_event = event64.throughput / scalar.throughput;
-  const double speedup_sweep = sweep64.throughput / scalar.throughput;
   const double skip_frac =
       event64.gate_evals + event64.events_skipped > 0
           ? static_cast<double>(event64.events_skipped) /
@@ -195,8 +181,6 @@ int main(int argc, char** argv) {
 
   std::printf("scalar : %8.1f ms, %10.0f cycles/s\n", scalar.wall_s * 1e3,
               scalar.throughput);
-  std::printf("sweep64: %8.1f ms, %10.0f cycles/s (%.1fx scalar)\n",
-              sweep64.wall_s * 1e3, sweep64.throughput, speedup_sweep);
   std::printf("event64: %8.1f ms, %10.0f cycles/s (%.1fx scalar, "
               "%.0f%% evals skipped)\n",
               event64.wall_s * 1e3, event64.throughput, speedup_event,
@@ -214,9 +198,6 @@ int main(int argc, char** argv) {
        << ", \"cycles\": " << cycles << ", \"lanes\": 64,\n"
        << " \"scalar\": {\"wall_ms\": " << scalar.wall_s * 1e3
        << ", \"cycles_per_s\": " << scalar.throughput << "},\n"
-       << " \"sweep64\": {\"wall_ms\": " << sweep64.wall_s * 1e3
-       << ", \"cycles_per_s\": " << sweep64.throughput
-       << ", \"speedup\": " << speedup_sweep << "},\n"
        << " \"event64\": {\"wall_ms\": " << event64.wall_s * 1e3
        << ", \"cycles_per_s\": " << event64.throughput
        << ", \"speedup\": " << speedup_event

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
       cell::characterize_default_library(tech::make_default_40nm());
   const auto md = rtlgen::gen_macro(bench_cfg());
   const auto flat = netlist::flatten(md.design, md.top);
-  std::printf("macro netlist: %zu gates, %u nets\n", flat.gates().size(),
+  std::printf("macro netlist: %zu gates, %zu nets\n", flat.gates().size(),
               flat.net_count());
 
   power::ActivitySpec spec;
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    std::printf("equivalence self-check passed (%u nets)\n",
+    std::printf("equivalence self-check passed (%zu nets)\n",
                 flat.net_count());
   }
 

@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
       cell::characterize_default_library(tech::make_default_40nm());
   const auto md = rtlgen::gen_macro(bench_cfg());
   const auto flat = netlist::flatten(md.design, md.top);
-  std::printf("macro netlist: %zu gates, %u nets\n", flat.gates().size(),
+  std::printf("macro netlist: %zu gates, %zu nets\n", flat.gates().size(),
               flat.net_count());
 
   const sta::StaEngine eng(flat, lib);

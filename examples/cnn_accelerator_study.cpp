@@ -63,9 +63,9 @@ int main(int argc, char** argv) {
   core::TextTable t({"scenario", "fleet", "net_time_us", "net_energy_uJ",
                      "util_%", "homog_energy_uJ", "het_gain_%"});
   for (const Scenario& sc : scenarios) {
-    netmap::NetmapOptions nopt;
-    nopt.budget.max_macros = sc.budget_macros;
-    const netmap::NetmapResult res = netmap::run_netmap(model, cands, nopt);
+    netmap::Budget budget;
+    budget.max_macros = sc.budget_macros;
+    const netmap::NetmapResult res = netmap::run_netmap(model, cands, budget);
     const double gain =
         res.homog.valid && res.homog.energy_pj > 0
             ? 100.0 * (res.homog.energy_pj - res.total_energy_pj) /

@@ -48,9 +48,9 @@ int main(int argc, char** argv) {
       dse::run_sweep(lib, dse::grid_from_kv(std::move(kv)).expand(), sopt);
   const auto cands = netmap::candidates_from_frontier(rep);
 
-  netmap::NetmapOptions nopt;
-  nopt.budget.max_macros = 1;  // one physical macro on the wearable
-  const netmap::NetmapResult res = netmap::run_netmap(model, cands, nopt);
+  netmap::Budget budget;
+  budget.max_macros = 1;  // one physical macro on the wearable
+  const netmap::NetmapResult res = netmap::run_netmap(model, cands, budget);
 
   const netmap::FleetEntry& fe = res.fleet.front();
   const netmap::MacroCandidate& mc = res.candidates[fe.candidate_index];

@@ -204,7 +204,7 @@ Implementation SynDcimCompiler::implement(const rtlgen::MacroConfig& cfg,
       pipe.run("floorplan", &as.placed, "place1|" + lkey, [&] {
         PlacedArtifact pa;
         DiagEngine dg;
-        pa.floorplan = layout::sdp_place(*flat, lib_, cfg, {}, &dg);
+        pa.floorplan = layout::sdp_place(*flat, lib_, cfg, &dg);
         pa.diags = dg.diags();
         return pa;
       });

@@ -1,8 +1,10 @@
 #include "core/diskstore.hpp"
 
+#include <signal.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -30,6 +32,18 @@ std::string object_digest(const std::string& tier, const std::string& key) {
   return h.hex();
 }
 
+/// True when tmp file `name` (`<pid>-<seq>`) names a running process, whose
+/// writer may still rename it into place.
+bool writer_alive(const std::string& name) {
+  const char* const end = name.data() + name.size();
+  pid_t pid = 0;
+  const auto [rest, err] = std::from_chars(name.data(), end, pid);
+  if (err != std::errc() || rest == end || *rest != '-' || pid <= 0) {
+    return false;
+  }
+  return ::kill(pid, 0) == 0 || errno == EPERM;
+}
+
 std::string read_file(const std::string& path, bool& found) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -54,12 +68,13 @@ DiskBlobStore::DiskBlobStore(std::string root) : root_(std::move(root)) {
          "cannot create artifact store directories: " + ec.message(), root_);
     return;
   }
-  // Sweep tmp files left by a crashed writer. Live writers in *other*
-  // processes embed their pid in the name and publish via rename before
-  // anyone could observe the object, so an unlinked-from-under-them tmp
-  // file only costs that writer one put.
+  // Sweep tmp files left by a crashed writer. Every writer embeds its pid
+  // in the name, so a file whose pid is running may belong to a write in
+  // flight in this or another process, and stays for its rename.
   for (const auto& entry : fs::directory_iterator(fs::path(root_) / "tmp", ec)) {
-    fs::remove(entry.path(), ec);
+    if (!writer_alive(entry.path().filename().string())) {
+      fs::remove(entry.path(), ec);
+    }
   }
 }
 

@@ -40,7 +40,8 @@ struct DiskStoreStats {
 /// Writes go to `root/tmp/<pid>-<seq>` and are published with rename(),
 /// which is atomic on POSIX — readers (same process or another sweep
 /// shard) see either nothing or a complete object, never a torn write.
-/// A crash mid-write leaves only a dead tmp file, swept on next open.
+/// A crash mid-write leaves only a dead tmp file, swept on next open; a
+/// tmp file whose pid is running is left to its writer.
 ///
 /// Corrupt, truncated, or foreign objects are skipped as misses and
 /// reported as CACHE-TRUNC / CACHE-CORRUPT diagnostics. DiagEngine is not

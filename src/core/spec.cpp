@@ -141,8 +141,6 @@ PerfSpec spec_from_kv(const std::map<std::string, std::string>& kv) {
       spec.mux = v == "pg"      ? rtlgen::MuxStyle::kPassGate1T
                  : v == "oai22" ? rtlgen::MuxStyle::kOai22Fused
                                 : rtlgen::MuxStyle::kTGateNor;
-    } else if (k == "temp_c") {
-      // reserved for corner sweeps; compile uses the nominal corner
     } else {
       throw std::invalid_argument("unknown spec key: " + k);
     }

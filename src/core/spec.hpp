@@ -74,8 +74,8 @@ struct PerfSpec {
 /// `"spec"` request object. Keys: rows, cols, mcr, input_bits (comma
 /// list), weight_bits, fp (fp4|fp8|bf16|fp16 comma list), mac_mhz,
 /// wupdate_mhz, vdd, pref_power, pref_area, pref_perf, bitcell
-/// (6T|8T|12T), mux (pg|tg|oai22), temp_c (reserved). Unknown keys and
-/// malformed values throw std::invalid_argument.
+/// (6T|8T|12T), mux (pg|tg|oai22). Unknown keys and malformed values
+/// throw std::invalid_argument.
 [[nodiscard]] PerfSpec spec_from_kv(
     const std::map<std::string, std::string>& kv);
 

@@ -352,21 +352,19 @@ SweepReport merge_shards(const cell::Library& lib,
   // From here the path is the same code run_sweep executes after its own
   // per-spec reduction — which is the whole determinism argument.
   rep.frontier = merge_global_frontier(rep.per_spec);
-  if (opt.lint_frontier) {
-    core::ArtifactStore store;
-    std::unique_ptr<core::DiskBlobStore> disk;
-    if (!opt.store_dir.empty()) {
-      disk = std::make_unique<core::DiskBlobStore>(opt.store_dir);
-      store.attach_blob_store(disk.get());
-    }
-    lint_frontier_points(lib, rep.frontier, store,
-                         WorkStealingPool::default_threads());
-    if (disk != nullptr) {
-      store.flush_l2();
-      if (opt.diag != nullptr) disk->drain_diags(*opt.diag);
-    }
-    rep.artifacts = store.stats();
+  core::ArtifactStore store;
+  std::unique_ptr<core::DiskBlobStore> disk;
+  if (!opt.store_dir.empty()) {
+    disk = std::make_unique<core::DiskBlobStore>(opt.store_dir);
+    store.attach_blob_store(disk.get());
   }
+  lint_frontier_points(lib, rep.frontier, store,
+                       WorkStealingPool::default_threads());
+  if (disk != nullptr) {
+    store.flush_l2();
+    if (opt.diag != nullptr) disk->drain_diags(*opt.diag);
+  }
+  rep.artifacts = store.stats();
   return rep;
 }
 

@@ -66,17 +66,17 @@ bool write_shard_file(const std::string& path, const ShardResult& s);
 [[nodiscard]] ShardResult read_shard_file(const std::string& path);
 
 struct MergeOptions {
-  /// Lint every merged-frontier point (the same lint_frontier_points
-  /// pass run_sweep does, on a pool of hardware-concurrency workers). The
-  /// linting store optionally reads through `store_dir` — results are
-  /// byte-identical either way, warm is just faster.
-  bool lint_frontier = true;
+  /// Directory the frontier-lint store reads through and flushes to
+  /// (empty: in-memory only). Results are byte-identical either way, warm
+  /// is just faster.
   std::string store_dir;
   core::DiagEngine* diag = nullptr;  ///< store/codec findings sink
 };
 
 /// Folds shard files into a SweepReport whose frontier (and frontier
-/// JSON) is byte-identical to the single-process run over the same grid.
+/// JSON) is byte-identical to the single-process run over the same grid,
+/// then lints every merged-frontier point (the same lint_frontier_points
+/// pass run_sweep does, on a pool of hardware-concurrency workers).
 /// Throws std::invalid_argument when the shard set is inconsistent or
 /// incomplete (mismatched grids or counts, missing or duplicate shards).
 [[nodiscard]] SweepReport merge_shards(const cell::Library& lib,

@@ -21,6 +21,9 @@ const Floorplan::Region* Floorplan::region(std::string_view name) const {
 
 namespace {
 
+constexpr double kLogicUtilization = 0.65;  ///< packing density in strips
+constexpr double kWhitespaceFactor = 1.12;  ///< outline margin (grid, rings)
+
 struct ResolvedCells {
   std::vector<const cell::Cell*> per_gate;
 };
@@ -78,8 +81,7 @@ int parse_col_index(const std::string& name) {
 }  // namespace
 
 Floorplan sdp_place(const FlatNetlist& nl, const cell::Library& lib,
-                    const rtlgen::MacroConfig& cfg, const SdpOptions& opt,
-                    core::DiagEngine* diag) {
+                    const rtlgen::MacroConfig& cfg, core::DiagEngine* diag) {
   OBS_SPAN("layout.place");
   const ResolvedCells rc = resolve(nl, lib);
   const tech::TechNode& node = lib.node();
@@ -116,7 +118,7 @@ Floorplan sdp_place(const FlatNetlist& nl, const cell::Library& lib,
   // the column pitch downward). The width is solved so the whole macro
   // lands near a 2:1 aspect ratio:
   //   cols * (bank_w + lw) ~ 2 * col_area / (lw * util).
-  const double u = opt.logic_utilization;
+  const double u = kLogicUtilization;
   const double bank_w = cfg.mcr * cell_w;
   const double uc = u * cfg.cols;
   const double disc = uc * bank_w * uc * bank_w +
@@ -131,7 +133,7 @@ Floorplan sdp_place(const FlatNetlist& nl, const cell::Library& lib,
 
   // Peripheral block sizing.
   auto block_height = [&](double area, double width) {
-    return std::ceil(area / (width * opt.logic_utilization) / row_h) * row_h;
+    return std::ceil(area / (width * kLogicUtilization) / row_h) * row_h;
   };
 
   // Region origins: wldrv left, array center, OFU right, wrport below,
@@ -157,13 +159,11 @@ Floorplan sdp_place(const FlatNetlist& nl, const cell::Library& lib,
   const double array_w = cfg.cols * strip_w;
   const double wl_w =
       wl_area > 0
-          ? std::max(2 * row_h,
-                     wl_area / (strip_h * opt.logic_utilization))
+          ? std::max(2 * row_h, wl_area / (strip_h * kLogicUtilization))
           : 0.0;
   const double ofu_w =
       ofu_area > 0
-          ? std::max(2 * row_h,
-                     ofu_area / (strip_h * opt.logic_utilization))
+          ? std::max(2 * row_h, ofu_area / (strip_h * kLogicUtilization))
           : 0.0;
   const double wr_h = wr_area > 0 ? block_height(wr_area, array_w) : 0.0;
   const double al_h = al_area > 0 ? block_height(al_area, array_w) : 0.0;
@@ -243,8 +243,8 @@ Floorplan sdp_place(const FlatNetlist& nl, const cell::Library& lib,
     w = std::max(w, fp.gate_rects[g].x2());
     h = std::max(h, fp.gate_rects[g].y2());
   }
-  fp.outline = Rect{0, 0, w * std::sqrt(opt.whitespace_factor),
-                    h * std::sqrt(opt.whitespace_factor)};
+  fp.outline = Rect{0, 0, w * std::sqrt(kWhitespaceFactor),
+                    h * std::sqrt(kWhitespaceFactor)};
   double cell_area = 0.0;
   for (const auto* c : rc.per_gate) cell_area += c->area_um2;
   fp.utilization = cell_area / fp.outline.area();
@@ -253,7 +253,7 @@ Floorplan sdp_place(const FlatNetlist& nl, const cell::Library& lib,
 }
 
 Floorplan scattered_place(const FlatNetlist& nl, const cell::Library& lib,
-                          unsigned seed, const SdpOptions& opt) {
+                          unsigned seed) {
   const ResolvedCells rc = resolve(nl, lib);
   const double row_h = lib.node().std_row_height_um;
   Floorplan fp;
@@ -269,8 +269,7 @@ Floorplan scattered_place(const FlatNetlist& nl, const cell::Library& lib,
   std::mt19937 rng(seed);
   std::shuffle(order.begin(), order.end(), rng);
 
-  const double target_w =
-      std::sqrt(cell_area / opt.logic_utilization);
+  const double target_w = std::sqrt(cell_area / kLogicUtilization);
   // Bitcells keep their height; pack everything row-major. Rows must be
   // tall enough for the tallest cell placed in them; use std row height
   // and let bitcells sit inside it.
@@ -280,8 +279,8 @@ Floorplan scattered_place(const FlatNetlist& nl, const cell::Library& lib,
     w = std::max(w, fp.gate_rects[g].x2());
     h = std::max(h, fp.gate_rects[g].y2());
   }
-  fp.outline = Rect{0, 0, w * std::sqrt(opt.whitespace_factor),
-                    h * std::sqrt(opt.whitespace_factor)};
+  fp.outline = Rect{0, 0, w * std::sqrt(kWhitespaceFactor),
+                    h * std::sqrt(kWhitespaceFactor)};
   fp.utilization = cell_area / fp.outline.area();
   fp.wirelength_um = total_hpwl_um(nl, fp);
   return fp;

@@ -36,11 +36,6 @@ struct Floorplan {
   [[nodiscard]] const Region* region(std::string_view name) const;
 };
 
-struct SdpOptions {
-  double logic_utilization = 0.65;  ///< packing density inside logic strips
-  double whitespace_factor = 1.12;  ///< outline margin (power grid, rings)
-};
-
 /// Structured-data-path placement (paper Sec. III-D): bitcells of each
 /// compute column on a regular grid, that column's mux/tree/S&A logic in a
 /// strip beside it, write port below, WL drivers left, alignment unit
@@ -54,7 +49,6 @@ struct SdpOptions {
 [[nodiscard]] Floorplan sdp_place(const netlist::FlatNetlist& nl,
                                   const cell::Library& lib,
                                   const rtlgen::MacroConfig& cfg,
-                                  const SdpOptions& opt = {},
                                   core::DiagEngine* diag = nullptr);
 
 /// Ablation baseline: same cells packed row-major in shuffled order with
@@ -62,8 +56,7 @@ struct SdpOptions {
 /// datapath this regular).
 [[nodiscard]] Floorplan scattered_place(const netlist::FlatNetlist& nl,
                                         const cell::Library& lib,
-                                        unsigned seed,
-                                        const SdpOptions& opt = {});
+                                        unsigned seed);
 
 /// Total half-perimeter wirelength over all nets (gate centers as pins).
 [[nodiscard]] double total_hpwl_um(const netlist::FlatNetlist& nl,

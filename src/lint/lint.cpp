@@ -21,8 +21,7 @@ using netlist::FlatNetlist;
 /// rule, so truncation is never silent.
 class Reporter {
  public:
-  Reporter(core::DiagEngine& diag, const LintOptions& opt)
-      : diag_(diag), opt_(opt) {}
+  explicit Reporter(core::DiagEngine& diag) : diag_(diag) {}
 
   void emit(core::Severity sev, std::string rule, std::string msg,
             std::string object = "", std::string source = "") {
@@ -38,7 +37,7 @@ class Reporter {
         break;
     }
     std::size_t& n = emitted_[rule];
-    if (n >= opt_.max_per_rule) {
+    if (n >= kMaxPerRule) {
       ++suppressed_[rule];
       return;
     }
@@ -52,7 +51,7 @@ class Reporter {
       diag_.info("LINT-TRUNCATED",
                  std::to_string(n) + " further " + rule +
                      " findings suppressed (cap " +
-                     std::to_string(opt_.max_per_rule) + " per rule)");
+                     std::to_string(kMaxPerRule) + " per rule)");
       ++sum_.notes;
     }
     return sum_;
@@ -60,7 +59,6 @@ class Reporter {
 
  private:
   core::DiagEngine& diag_;
-  const LintOptions& opt_;
   LintSummary sum_;
   std::map<std::string, std::size_t> emitted_;
   std::map<std::string, std::size_t> suppressed_;
@@ -99,8 +97,9 @@ bool split_bus_bit(const std::string& name, std::string& base, int& index) {
 }  // namespace
 
 LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
-                         core::DiagEngine& diag, const LintOptions& opt) {
-  Reporter rep(diag, opt);
+                         core::DiagEngine& diag,
+                         const std::string& write_clock) {
+  Reporter rep(diag);
   const std::size_t n_gates = nl.gates().size();
   const std::size_t n_nets = nl.net_count();
 
@@ -109,16 +108,14 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
   for (std::size_t m = 0; m < masters.size(); ++m) {
     masters[m] = lib.find(nl.master_names()[m]);
   }
-  if (opt.check_pins) {
-    for (std::size_t m = 0; m < masters.size(); ++m) {
-      if (masters[m]) continue;
-      std::size_t uses = 0;
-      for (const auto& g : nl.gates()) uses += g.master == m ? 1 : 0;
-      rep.emit(core::Severity::kError, "LINT-UNKNOWN-CELL",
-               "cell master not in the library (" + std::to_string(uses) +
-                   " instances)",
-               nl.master_names()[m]);
-    }
+  for (std::size_t m = 0; m < masters.size(); ++m) {
+    if (masters[m]) continue;
+    std::size_t uses = 0;
+    for (const auto& g : nl.gates()) uses += g.master == m ? 1 : 0;
+    rep.emit(core::Severity::kError, "LINT-UNKNOWN-CELL",
+             "cell master not in the library (" + std::to_string(uses) +
+                 " instances)",
+             nl.master_names()[m]);
   }
 
   // Per-net driver/load accounting; per-gate pin coverage.
@@ -157,12 +154,10 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
     for (const auto& pc : gate.pins) {
       const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
       if (pi < 0) {
-        if (opt.check_pins) {
-          rep.emit(core::Severity::kError, "LINT-UNKNOWN-PIN",
-                   "connection to pin '" + nl.pin_names()[pc.pin_name] +
-                       "' which master '" + cell->name + "' does not have",
-                   gate_label(nl, g), gate_group(nl, g));
-        }
+        rep.emit(core::Severity::kError, "LINT-UNKNOWN-PIN",
+                 "connection to pin '" + nl.pin_names()[pc.pin_name] +
+                     "' which master '" + cell->name + "' does not have",
+                 gate_label(nl, g), gate_group(nl, g));
         continue;
       }
       connected[pi] = true;
@@ -173,87 +168,74 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
         nets[pc.net].gate_driven = true;
       }
     }
-    if (opt.check_pins) {
-      for (std::size_t pi = 0; pi < cell->pins.size(); ++pi) {
-        if (connected[pi]) continue;
-        const bool input = cell->pins[pi].is_input;
-        rep.emit(input ? core::Severity::kError : core::Severity::kWarning,
-                 "LINT-UNCONNECTED",
-                 std::string(input ? "input" : "output") + " pin '" +
-                     cell->pins[pi].name + "' of master '" + cell->name +
-                     "' is unconnected",
-                 gate_label(nl, g), gate_group(nl, g));
-      }
+    for (std::size_t pi = 0; pi < cell->pins.size(); ++pi) {
+      if (connected[pi]) continue;
+      const bool input = cell->pins[pi].is_input;
+      rep.emit(input ? core::Severity::kError : core::Severity::kWarning,
+               "LINT-UNCONNECTED",
+               std::string(input ? "input" : "output") + " pin '" +
+                   cell->pins[pi].name + "' of master '" + cell->name +
+                   "' is unconnected",
+               gate_label(nl, g), gate_group(nl, g));
     }
   }
 
-  if (opt.check_drivers) {
-    for (std::uint32_t n = 0; n < n_nets; ++n) {
-      if (nets[n].drivers > 1) {
-        rep.emit(core::Severity::kError, "LINT-MULTIDRIVE",
-                 "net has " + std::to_string(nets[n].drivers) +
-                     " drivers (output pins / constant ties / ports)",
-                 net_label(nl, n));
-      } else if (nets[n].loads > 0 && nets[n].drivers == 0) {
-        rep.emit(core::Severity::kError, "LINT-FLOATING",
-                 "net has " + std::to_string(nets[n].loads) +
-                     " loads but no driver",
-                 net_label(nl, n));
-      }
+  for (std::uint32_t n = 0; n < n_nets; ++n) {
+    if (nets[n].drivers > 1) {
+      rep.emit(core::Severity::kError, "LINT-MULTIDRIVE",
+               "net has " + std::to_string(nets[n].drivers) +
+                   " drivers (output pins / constant ties / ports)",
+               net_label(nl, n));
+    } else if (nets[n].loads > 0 && nets[n].drivers == 0) {
+      rep.emit(core::Severity::kError, "LINT-FLOATING",
+               "net has " + std::to_string(nets[n].loads) +
+                   " loads but no driver",
+               net_label(nl, n));
     }
   }
-  if (opt.check_dangling) {
-    for (std::uint32_t n = 0; n < n_nets; ++n) {
-      if (nets[n].gate_driven && nets[n].loads == 0) {
-        rep.emit(core::Severity::kInfo, "LINT-DANGLING",
-                 "gate-driven net has no loads (unused output)",
-                 net_label(nl, n));
-      }
+  for (std::uint32_t n = 0; n < n_nets; ++n) {
+    if (nets[n].gate_driven && nets[n].loads == 0) {
+      rep.emit(core::Severity::kInfo, "LINT-DANGLING",
+               "gate-driven net has no loads (unused output)",
+               net_label(nl, n));
     }
   }
 
   // --- Combinational gate graph (registers and storage break paths). ---
-  const bool need_graph = opt.check_comb_loops || opt.check_cdc;
   std::vector<std::int32_t> node_of(n_gates, -1);  // gate -> comb node id
   std::vector<std::uint32_t> comb;                 // node id -> gate
-  std::vector<std::vector<std::int32_t>> adj;      // comb node -> comb nodes
-  std::vector<bool> in_loop;                       // per comb node
-  if (need_graph) {
-    for (std::uint32_t g = 0; g < n_gates; ++g) {
-      const cell::Cell* cell = masters[nl.gates()[g].master];
-      if (cell &&
-          cell->timing_role() == cell::TimingRole::kCombinational) {
-        node_of[g] = static_cast<std::int32_t>(comb.size());
-        comb.push_back(g);
+  for (std::uint32_t g = 0; g < n_gates; ++g) {
+    const cell::Cell* cell = masters[nl.gates()[g].master];
+    if (cell && cell->timing_role() == cell::TimingRole::kCombinational) {
+      node_of[g] = static_cast<std::int32_t>(comb.size());
+      comb.push_back(g);
+    }
+  }
+  // Net -> combinational loads, then driver -> load edges.
+  std::vector<std::vector<std::int32_t>> net_loads(n_nets);
+  for (const std::uint32_t g : comb) {
+    const cell::Cell* cell = masters[nl.gates()[g].master];
+    for (const auto& pc : nl.gates()[g].pins) {
+      const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
+      if (pi >= 0 && cell->pins[pi].is_input) {
+        net_loads[pc.net].push_back(node_of[g]);
       }
     }
-    // Net -> combinational loads, then driver -> load edges.
-    std::vector<std::vector<std::int32_t>> net_loads(n_nets);
-    for (const std::uint32_t g : comb) {
-      const cell::Cell* cell = masters[nl.gates()[g].master];
-      for (const auto& pc : nl.gates()[g].pins) {
-        const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
-        if (pi >= 0 && cell->pins[pi].is_input) {
-          net_loads[pc.net].push_back(node_of[g]);
+  }
+  std::vector<std::vector<std::int32_t>> adj(comb.size());  // node -> nodes
+  for (const std::uint32_t g : comb) {
+    const cell::Cell* cell = masters[nl.gates()[g].master];
+    for (const auto& pc : nl.gates()[g].pins) {
+      const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
+      if (pi >= 0 && !cell->pins[pi].is_input) {
+        for (const std::int32_t w : net_loads[pc.net]) {
+          adj[node_of[g]].push_back(w);
         }
       }
     }
-    adj.resize(comb.size());
-    for (const std::uint32_t g : comb) {
-      const cell::Cell* cell = masters[nl.gates()[g].master];
-      for (const auto& pc : nl.gates()[g].pins) {
-        const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
-        if (pi >= 0 && !cell->pins[pi].is_input) {
-          for (const std::int32_t w : net_loads[pc.net]) {
-            adj[node_of[g]].push_back(w);
-          }
-        }
-      }
-    }
-    in_loop.assign(comb.size(), false);
   }
 
-  if (opt.check_comb_loops && !comb.empty()) {
+  if (!comb.empty()) {
     // Iterative Tarjan SCC; any component with >1 member (or a self-edge)
     // is a combinational loop.
     const std::int32_t n = static_cast<std::int32_t>(comb.size());
@@ -273,7 +255,6 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
         list += gate_label(nl, comb[members[i]]);
       }
       if (members.size() > 8) list += " -> ...";
-      for (const std::int32_t m : members) in_loop[m] = true;
       rep.emit(core::Severity::kError, "LINT-COMB-LOOP",
                "combinational loop through " +
                    std::to_string(members.size()) + " gates: " + list,
@@ -326,143 +307,141 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
     }
   }
 
-  if (opt.check_cdc) {
-    // Clock nets are the nets feeding any is_clock pin; each gets a domain
-    // bit (capped at 64 distinct clocks).
-    std::map<std::uint32_t, int> clock_bit;  // clock net -> bit
-    auto clock_net_of = [&](std::uint32_t g) -> std::int64_t {
-      const cell::Cell* cell = masters[nl.gates()[g].master];
-      for (const auto& pc : nl.gates()[g].pins) {
-        const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
-        if (pi >= 0 && cell->pins[pi].is_clock) return pc.net;
-      }
-      return -1;
-    };
-    std::vector<std::int64_t> gate_clock(n_gates, -1);
-    for (std::uint32_t g = 0; g < n_gates; ++g) {
-      const cell::Cell* cell = masters[nl.gates()[g].master];
-      if (!cell || cell->timing_role() != cell::TimingRole::kRegister) {
-        continue;
-      }
-      const std::int64_t cn = clock_net_of(g);
-      gate_clock[g] = cn;
-      if (cn >= 0 && !clock_bit.contains(static_cast<std::uint32_t>(cn)) &&
-          clock_bit.size() < 64) {
-        const int bit = static_cast<int>(clock_bit.size());
-        clock_bit.emplace(static_cast<std::uint32_t>(cn), bit);
-      }
+  // Clock nets are the nets feeding any is_clock pin; each gets a domain
+  // bit (capped at 64 distinct clocks).
+  std::map<std::uint32_t, int> clock_bit;  // clock net -> bit
+  auto clock_net_of = [&](std::uint32_t g) -> std::int64_t {
+    const cell::Cell* cell = masters[nl.gates()[g].master];
+    for (const auto& pc : nl.gates()[g].pins) {
+      const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
+      if (pi >= 0 && cell->pins[pi].is_clock) return pc.net;
     }
-    auto bit_of = [&](std::int64_t cn) -> std::uint64_t {
-      if (cn < 0) return 0;
-      const auto it = clock_bit.find(static_cast<std::uint32_t>(cn));
-      return it == clock_bit.end() ? 0 : (1ull << it->second);
-    };
-    auto clock_name = [&](int bit) -> std::string {
-      for (const auto& [net, b] : clock_bit) {
-        if (b == bit) return net_label(nl, net);
-      }
-      return "?";
-    };
+    return -1;
+  };
+  std::vector<std::int64_t> gate_clock(n_gates, -1);
+  for (std::uint32_t g = 0; g < n_gates; ++g) {
+    const cell::Cell* cell = masters[nl.gates()[g].master];
+    if (!cell || cell->timing_role() != cell::TimingRole::kRegister) {
+      continue;
+    }
+    const std::int64_t cn = clock_net_of(g);
+    gate_clock[g] = cn;
+    if (cn >= 0 && !clock_bit.contains(static_cast<std::uint32_t>(cn)) &&
+        clock_bit.size() < 64) {
+      const int bit = static_cast<int>(clock_bit.size());
+      clock_bit.emplace(static_cast<std::uint32_t>(cn), bit);
+    }
+  }
+  auto bit_of = [&](std::int64_t cn) -> std::uint64_t {
+    if (cn < 0) return 0;
+    const auto it = clock_bit.find(static_cast<std::uint32_t>(cn));
+    return it == clock_bit.end() ? 0 : (1ull << it->second);
+  };
+  auto clock_name = [&](int bit) -> std::string {
+    for (const auto& [net, b] : clock_bit) {
+      if (b == bit) return net_label(nl, net);
+    }
+    return "?";
+  };
 
-    // Seed: every register output net launches in its own clock domain.
-    for (std::uint32_t g = 0; g < n_gates; ++g) {
-      if (gate_clock[g] < 0) continue;
-      const cell::Cell* cell = masters[nl.gates()[g].master];
-      for (const auto& pc : nl.gates()[g].pins) {
-        const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
-        if (pi >= 0 && !cell->pins[pi].is_input) {
-          nets[pc.net].domains |= bit_of(gate_clock[g]);
-        }
+  // Seed: every register output net launches in its own clock domain.
+  for (std::uint32_t g = 0; g < n_gates; ++g) {
+    if (gate_clock[g] < 0) continue;
+    const cell::Cell* cell = masters[nl.gates()[g].master];
+    for (const auto& pc : nl.gates()[g].pins) {
+      const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
+      if (pi >= 0 && !cell->pins[pi].is_input) {
+        nets[pc.net].domains |= bit_of(gate_clock[g]);
       }
     }
-    // Propagate through the combinational gates in topological order
-    // (Kahn); gates inside loops were reported above and are skipped.
-    std::vector<std::int32_t> indeg(comb.size(), 0);
-    for (const auto& out_edges : adj) {
-      for (const std::int32_t w : out_edges) ++indeg[w];
-    }
-    std::vector<std::int32_t> queue;
-    for (std::size_t v = 0; v < comb.size(); ++v) {
-      if (indeg[v] == 0) queue.push_back(static_cast<std::int32_t>(v));
-    }
-    for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-      const std::int32_t v = queue[qi];
-      const std::uint32_t g = comb[v];
-      const cell::Cell* cell = masters[nl.gates()[g].master];
-      std::uint64_t in_domains = 0;
-      for (const auto& pc : nl.gates()[g].pins) {
-        const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
-        if (pi >= 0 && cell->pins[pi].is_input) {
-          in_domains |=
-              nets[pc.net].domains | nets[pc.net].comb_domains;
-        }
-      }
-      for (const auto& pc : nl.gates()[g].pins) {
-        const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
-        if (pi >= 0 && !cell->pins[pi].is_input) {
-          nets[pc.net].comb_domains |= in_domains;
-        }
-      }
-      for (const std::int32_t w : adj[v]) {
-        if (--indeg[w] == 0) queue.push_back(w);
+  }
+  // Propagate through the combinational gates in topological order
+  // (Kahn); gates inside loops were reported above and are skipped.
+  std::vector<std::int32_t> indeg(comb.size(), 0);
+  for (const auto& out_edges : adj) {
+    for (const std::int32_t w : out_edges) ++indeg[w];
+  }
+  std::vector<std::int32_t> queue;
+  for (std::size_t v = 0; v < comb.size(); ++v) {
+    if (indeg[v] == 0) queue.push_back(static_cast<std::int32_t>(v));
+  }
+  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
+    const std::int32_t v = queue[qi];
+    const std::uint32_t g = comb[v];
+    const cell::Cell* cell = masters[nl.gates()[g].master];
+    std::uint64_t in_domains = 0;
+    for (const auto& pc : nl.gates()[g].pins) {
+      const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
+      if (pi >= 0 && cell->pins[pi].is_input) {
+        in_domains |=
+            nets[pc.net].domains | nets[pc.net].comb_domains;
       }
     }
+    for (const auto& pc : nl.gates()[g].pins) {
+      const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
+      if (pi >= 0 && !cell->pins[pi].is_input) {
+        nets[pc.net].comb_domains |= in_domains;
+      }
+    }
+    for (const std::int32_t w : adj[v]) {
+      if (--indeg[w] == 0) queue.push_back(w);
+    }
+  }
 
-    auto report_crossing = [&](std::uint32_t g, const std::string& pin,
-                               std::uint32_t net, std::uint64_t offending) {
-      for (int b = 0; b < 64 && offending; ++b) {
-        if (!(offending & (1ull << b))) continue;
-        offending &= ~(1ull << b);
-        rep.emit(core::Severity::kWarning, "LINT-CDC",
-                 "pin '" + pin + "' receives a combinational launch from "
-                 "clock '" + clock_name(b) +
-                     "' in another domain without a synchronizing "
-                     "register (net " + net_label(nl, net) + ")",
-                 gate_label(nl, g), gate_group(nl, g));
-      }
-    };
+  auto report_crossing = [&](std::uint32_t g, const std::string& pin,
+                             std::uint32_t net, std::uint64_t offending) {
+    for (int b = 0; b < 64 && offending; ++b) {
+      if (!(offending & (1ull << b))) continue;
+      offending &= ~(1ull << b);
+      rep.emit(core::Severity::kWarning, "LINT-CDC",
+               "pin '" + pin + "' receives a combinational launch from "
+               "clock '" + clock_name(b) +
+                   "' in another domain without a synchronizing "
+                   "register (net " + net_label(nl, net) + ")",
+               gate_label(nl, g), gate_group(nl, g));
+    }
+  };
 
-    // Endpoint checks: register data inputs vs. their own clock; SRAM
-    // write pins (D/WL) vs. the designated weight-update clock.
-    std::uint64_t write_mask = 0;
-    bool have_write_clock = false;
-    if (!opt.write_clock.empty()) {
-      for (const auto& io : nl.primary_inputs()) {
-        if (io.name == opt.write_clock) {
-          write_mask = bit_of(io.net);
-          have_write_clock = true;
-        }
+  // Endpoint checks: register data inputs vs. their own clock; SRAM
+  // write pins (D/WL) vs. the designated weight-update clock.
+  std::uint64_t write_mask = 0;
+  bool have_write_clock = false;
+  if (!write_clock.empty()) {
+    for (const auto& io : nl.primary_inputs()) {
+      if (io.name == write_clock) {
+        write_mask = bit_of(io.net);
+        have_write_clock = true;
       }
     }
-    for (std::uint32_t g = 0; g < n_gates; ++g) {
-      const cell::Cell* cell = masters[nl.gates()[g].master];
-      if (!cell) continue;
-      const cell::TimingRole role = cell->timing_role();
-      if (role == cell::TimingRole::kRegister) {
-        const std::uint64_t own = bit_of(gate_clock[g]);
-        for (const auto& pc : nl.gates()[g].pins) {
-          const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
-          if (pi < 0 || !cell->pins[pi].is_input ||
-              cell->pins[pi].is_clock) {
-            continue;
-          }
-          const std::uint64_t offending = nets[pc.net].comb_domains & ~own;
-          if (offending) {
-            report_crossing(g, cell->pins[pi].name, pc.net, offending);
-          }
+  }
+  for (std::uint32_t g = 0; g < n_gates; ++g) {
+    const cell::Cell* cell = masters[nl.gates()[g].master];
+    if (!cell) continue;
+    const cell::TimingRole role = cell->timing_role();
+    if (role == cell::TimingRole::kRegister) {
+      const std::uint64_t own = bit_of(gate_clock[g]);
+      for (const auto& pc : nl.gates()[g].pins) {
+        const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
+        if (pi < 0 || !cell->pins[pi].is_input ||
+            cell->pins[pi].is_clock) {
+          continue;
         }
-      } else if (role == cell::TimingRole::kStorage && have_write_clock) {
-        // Storage cells never synchronize: even a direct foreign-domain
-        // register output on a write pin is a violation.
-        for (const auto& pc : nl.gates()[g].pins) {
-          const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
-          if (pi < 0 || !cell->pins[pi].is_input) continue;
-          const std::uint64_t offending =
-              (nets[pc.net].domains | nets[pc.net].comb_domains) &
-              ~write_mask;
-          if (offending) {
-            report_crossing(g, cell->pins[pi].name, pc.net, offending);
-          }
+        const std::uint64_t offending = nets[pc.net].comb_domains & ~own;
+        if (offending) {
+          report_crossing(g, cell->pins[pi].name, pc.net, offending);
+        }
+      }
+    } else if (role == cell::TimingRole::kStorage && have_write_clock) {
+      // Storage cells never synchronize: even a direct foreign-domain
+      // register output on a write pin is a violation.
+      for (const auto& pc : nl.gates()[g].pins) {
+        const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
+        if (pi < 0 || !cell->pins[pi].is_input) continue;
+        const std::uint64_t offending =
+            (nets[pc.net].domains | nets[pc.net].comb_domains) &
+            ~write_mask;
+        if (offending) {
+          report_crossing(g, cell->pins[pi].name, pc.net, offending);
         }
       }
     }
@@ -472,8 +451,8 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
 }
 
 LintSummary lint_design(const netlist::Design& d, const std::string& top,
-                        core::DiagEngine& diag, const LintOptions& opt) {
-  Reporter rep(diag, opt);
+                        core::DiagEngine& diag) {
+  Reporter rep(diag);
   if (!d.has_module(top)) {
     rep.emit(core::Severity::kError, "LINT-STRUCT",
              "top module '" + top + "' not found in design");
@@ -533,10 +512,10 @@ LintSummary lint_design(const netlist::Design& d, const std::string& top,
 
 void lint_top(const netlist::Design& d, const std::string& top,
               const cell::Library& lib, core::DiagEngine& diag,
-              const LintOptions& opt) {
+              const std::string& write_clock) {
   {
     OBS_SPAN("lint.design");
-    (void)lint_design(d, top, diag, opt);
+    (void)lint_design(d, top, diag);
   }
   if (!d.has_module(top)) return;  // lint_design reported it
   // Flattening a structurally broken hierarchy can throw; the
@@ -547,7 +526,7 @@ void lint_top(const netlist::Design& d, const std::string& top,
       return netlist::flatten(d, top);
     }();
     OBS_SPAN("lint.netlist");
-    (void)lint_netlist(flat, lib, diag, opt);
+    (void)lint_netlist(flat, lib, diag, write_clock);
   } catch (const std::exception& e) {
     diag.error("LINT-STRUCT",
                std::string("cannot flatten for netlist-level checks: ") +

@@ -31,21 +31,10 @@ namespace syndcim::lint {
 ///                               launch reaching an SRAM write endpoint
 ///                               when a write clock is designated
 ///   LINT-DANGLING      info     driven net with no loads (unused output)
-struct LintOptions {
-  bool check_drivers = true;      ///< LINT-MULTIDRIVE / LINT-FLOATING
-  bool check_pins = true;         ///< LINT-UNKNOWN-* / LINT-UNCONNECTED
-  bool check_comb_loops = true;   ///< LINT-COMB-LOOP
-  bool check_cdc = true;          ///< LINT-CDC
-  bool check_dangling = true;     ///< LINT-DANGLING
-  /// Primary-input port carrying the weight-update clock. When set (and
-  /// present), SRAM write pins (D/WL) become endpoints of that domain and
-  /// combinational fan-in from any other clock domain is a crossing. When
-  /// empty the write-domain check is skipped (reg->reg CDC still runs).
-  std::string write_clock;
-  /// Cap on findings reported per rule; a trailing info note counts the
-  /// suppressed remainder so truncation is never silent.
-  std::size_t max_per_rule = 64;
-};
+
+/// Cap on findings reported per rule; a trailing LINT-TRUNCATED note
+/// counts the suppressed remainder so truncation is never silent.
+inline constexpr std::size_t kMaxPerRule = 64;
 
 /// Totals of one lint pass (what was *added* to the engine by this call).
 struct LintSummary {
@@ -60,9 +49,15 @@ struct LintSummary {
 /// detection (Tarjan SCC over the combinational gate graph), and
 /// clock-domain-crossing endpoints. Findings land in `diag`; `source` of
 /// each finding is the depth-1 subcircuit group of the offending gate.
+///
+/// `write_clock` names the primary-input port carrying the weight-update
+/// clock. When set (and present), SRAM write pins (D/WL) become endpoints
+/// of that domain and combinational fan-in from any other clock domain is
+/// a crossing. When empty the write-domain check is skipped (reg->reg CDC
+/// still runs).
 LintSummary lint_netlist(const netlist::FlatNetlist& nl,
                          const cell::Library& lib, core::DiagEngine& diag,
-                         const LintOptions& opt = {});
+                         const std::string& write_clock = "");
 
 /// Hierarchical checks that need pre-flatten structure: the structural
 /// validation of `netlist::validate` reported as LINT-STRUCT diagnostics
@@ -70,15 +65,16 @@ LintSummary lint_netlist(const netlist::FlatNetlist& nl,
 /// module-boundary bus width mismatches (an instance connecting fewer or
 /// more bits of a bus port than its master declares -> LINT-WIDTH).
 LintSummary lint_design(const netlist::Design& d, const std::string& top,
-                        core::DiagEngine& diag, const LintOptions& opt = {});
+                        core::DiagEngine& diag);
 
 /// Every check `syndcim lint` and the serve daemon's `lint` method run on
 /// a parsed design: lint_design over the hierarchy (which reports a
 /// missing `top`), then lint_netlist over the flattening of `top`. A
 /// hierarchy that flatten refuses becomes one LINT-STRUCT error. Traced
 /// as `lint.design`, `lint.flatten` and `lint.netlist` spans.
+/// `write_clock` is passed on to lint_netlist.
 void lint_top(const netlist::Design& d, const std::string& top,
               const cell::Library& lib, core::DiagEngine& diag,
-              const LintOptions& opt = {});
+              const std::string& write_clock = "");
 
 }  // namespace syndcim::lint

@@ -16,6 +16,10 @@ namespace {
 
 using json::json_number;
 
+/// Hill-climb move cap (stage B and the homogeneous count refinement);
+/// generous — refinement converges in O(budget) moves.
+constexpr int kMaxMoves = 1024;
+
 /// Dynamic-energy activity scaling: a fully dense operand stream toggles
 /// ~1.6x the characterization activity, an almost-empty one still burns
 /// the 0.4 floor (clocking, leakage-equivalent).
@@ -267,7 +271,7 @@ std::vector<MacroCandidate> candidates_from_frontier_json(
 
 NetmapResult run_netmap(const Model& model,
                         const std::vector<MacroCandidate>& candidates,
-                        const NetmapOptions& opt) {
+                        const Budget& budget) {
   OBS_SPAN("netmap.run");
   if (model.layers.empty()) {
     throw std::invalid_argument("run_netmap: model has no layers");
@@ -275,14 +279,14 @@ NetmapResult run_netmap(const Model& model,
   if (candidates.empty()) {
     throw std::invalid_argument("run_netmap: empty candidate pool");
   }
-  if (opt.budget.max_macros < 1) {
+  if (budget.max_macros < 1) {
     throw std::invalid_argument("run_netmap: budget needs >= 1 macro");
   }
 
   NetmapResult res;
   res.model = model;
   res.candidates = candidates;
-  res.budget = opt.budget;
+  res.budget = budget;
   const double inf = std::numeric_limits<double>::infinity();
 
   // Per-layer eligibility: supports the precision/shape, and a single
@@ -291,8 +295,8 @@ NetmapResult run_netmap(const Model& model,
   for (std::size_t li = 0; li < model.layers.size(); ++li) {
     for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
       if (!candidates[ci].supports(model.layers[li])) continue;
-      if (opt.budget.max_area_um2 > 0.0 &&
-          candidates[ci].area_um2 > opt.budget.max_area_um2) {
+      if (budget.max_area_um2 > 0.0 &&
+          candidates[ci].area_um2 > budget.max_area_um2) {
         continue;
       }
       eligible[li].push_back(ci);
@@ -319,7 +323,7 @@ NetmapResult run_netmap(const Model& model,
     for (std::size_t li = 0; li < model.layers.size(); ++li) {
       a.push_back(evaluate_layer(model.layers[li], li, candidates[ci], ci, 1));
     }
-    for (int step = 0; step < opt.max_moves; ++step) {
+    for (int step = 0; step < kMaxMoves; ++step) {
       double best_gain = 1e-12;
       std::size_t best_li = model.layers.size();
       for (std::size_t li = 0; li < model.layers.size(); ++li) {
@@ -328,7 +332,7 @@ NetmapResult run_netmap(const Model& model,
             model.layers[li], li, candidates[ci], ci, a[li].count + 1);
         std::vector<LayerAssignment> next = a;
         next[li] = trial;
-        if (!fits_budget(fleet_of(next, candidates), opt.budget)) continue;
+        if (!fits_budget(fleet_of(next, candidates), budget)) continue;
         const double gain = a[li].time_us - trial.time_us;
         if (gain > best_gain) {
           best_gain = gain;
@@ -401,7 +405,7 @@ NetmapResult run_netmap(const Model& model,
     // Repair: merge macro types until the owned fleet fits the budget.
     // Each round retires the used type whose layers can move to other
     // used types for the least added energy.
-    while (!fits_budget(fleet_of(assigns, candidates), opt.budget)) {
+    while (!fits_budget(fleet_of(assigns, candidates), budget)) {
       const FleetView f = fleet_of(assigns, candidates);
       if (f.entries.size() <= 1) {
         throw std::invalid_argument(
@@ -463,7 +467,7 @@ NetmapResult run_netmap(const Model& model,
     }
 
     // ---- Stage B: latency hill-climb under the energy cap ------------
-    for (int step = 0; step < opt.max_moves; ++step) {
+    for (int step = 0; step < kMaxMoves; ++step) {
       double best_gain = 1e-12;
       double best_energy = inf;
       std::vector<LayerAssignment> best_next;
@@ -477,7 +481,7 @@ NetmapResult run_netmap(const Model& model,
           const double gain = assigns[li].time_us - next[li].time_us;
           const double e = total_energy(next);
           if (e <= energy_cap &&
-              fits_budget(fleet_of(next, candidates), opt.budget) &&
+              fits_budget(fleet_of(next, candidates), budget) &&
               (gain > best_gain ||
                (gain == best_gain && e < best_energy))) {
             best_gain = gain;
@@ -494,7 +498,7 @@ NetmapResult run_netmap(const Model& model,
           const double gain = assigns[li].time_us - next[li].time_us;
           const double e = total_energy(next);
           if (e <= energy_cap &&
-              fits_budget(fleet_of(next, candidates), opt.budget) &&
+              fits_budget(fleet_of(next, candidates), budget) &&
               (gain > best_gain ||
                (gain == best_gain && e < best_energy))) {
             best_gain = gain;

@@ -138,20 +138,13 @@ struct NetmapResult {
   bool fallback_homog = false;
 };
 
-struct NetmapOptions {
-  Budget budget;
-  /// Hill-climb move cap (stage B and the homogeneous count refinement);
-  /// generous — refinement converges in O(budget) moves.
-  int max_moves = 1024;
-};
-
 /// Maps `model` onto `candidates` under the budget. Throws
 /// std::invalid_argument when the model/pool is empty, the budget is
 /// degenerate (max_macros < 1), or some layer is supported by no
 /// candidate that fits the area budget.
 [[nodiscard]] NetmapResult run_netmap(
     const Model& model, const std::vector<MacroCandidate>& candidates,
-    const NetmapOptions& opt = {});
+    const Budget& budget = {});
 
 /// Deterministic "syndcim-netmap" v1 report (trailing newline,
 /// %.17g numbers) — byte-identical for identical inputs, and therefore

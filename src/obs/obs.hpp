@@ -7,9 +7,6 @@
 // Cost model: everything is disabled by default at runtime
 // (`set_enabled(true)` turns it on); a disabled `OBS_SPAN` or guarded
 // histogram observation costs one relaxed atomic load and a branch.
-// Building with -DOBS_DISABLED (CMake option SYNDCIM_OBS_DISABLED)
-// compiles the span macro out entirely and folds `enabled()` to a
-// constant false.
 //
 // Threading: span events land in per-thread buffers that only the owning
 // thread appends to — the append path takes no lock (chunked storage with
@@ -31,20 +28,13 @@
 
 namespace syndcim::obs {
 
-#if defined(OBS_DISABLED)
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
 namespace detail {
 extern std::atomic<bool> g_enabled;
 }  // namespace detail
 
 /// Runtime master switch (off by default). Hot paths gate on this.
 [[nodiscard]] inline bool enabled() {
-  return kCompiledIn &&
-         detail::g_enabled.load(std::memory_order_relaxed);
+  return detail::g_enabled.load(std::memory_order_relaxed);
 }
 void set_enabled(bool on);
 
@@ -156,14 +146,10 @@ class SpanGuard {
   bool active_ = false;
 };
 
-#if defined(OBS_DISABLED)
-#define OBS_SPAN(name) ((void)0)
-#else
 #define SYNDCIM_OBS_CONCAT2(a, b) a##b
 #define SYNDCIM_OBS_CONCAT(a, b) SYNDCIM_OBS_CONCAT2(a, b)
 #define OBS_SPAN(name) \
   ::syndcim::obs::SpanGuard SYNDCIM_OBS_CONCAT(obs_span_, __LINE__)(name)
-#endif
 
 // ---------------------------------------------------------------------------
 // Metrics

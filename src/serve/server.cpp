@@ -443,8 +443,6 @@ std::string Server::handle_compile(const Request& req,
 std::string Server::handle_sweep(const Request& req,
                                  const core::CancelToken* token) {
   std::map<std::string, std::string> kv = params_to_kv(req.params);
-  int threads = kv_int(kv, "threads", opt_.sweep_threads);
-  if (threads <= 0) threads = opt_.sweep_threads;
   const bool lint_frontier = kv_flag(kv, "lint_frontier", true);
   const std::string key = std::string("sweep|lint") +
                           (lint_frontier ? "1" : "0") + "|" + kv_key(kv);
@@ -457,7 +455,7 @@ std::string Server::handle_sweep(const Request& req,
         const dse::SweepGrid grid = dse::grid_from_kv(kv);
         const std::vector<core::PerfSpec> specs = grid.expand();
         dse::SweepOptions sopt;
-        sopt.threads = threads;
+        sopt.threads = opt_.sweep_threads;
         sopt.lint_frontier = lint_frontier;
         sopt.shared_store = store_.get();
         sopt.cancel = token;
@@ -504,17 +502,15 @@ std::string Server::handle_netmap(const Request& req,
         "netmap wants params.model (syndcim-model v1 JSON as a string)");
   }
   const std::string frontier_text = kv_string(kv, "frontier_json");
-  int threads = kv_int(kv, "threads", opt_.sweep_threads);
-  if (threads <= 0) threads = opt_.sweep_threads;
-  netmap::NetmapOptions nopt;
-  nopt.budget.max_macros = kv_int(kv, "budget_macros", 8);
-  nopt.budget.max_area_um2 = kv_double(kv, "budget_area_um2", 0.0);
+  netmap::Budget budget;
+  budget.max_macros = kv_int(kv, "budget_macros", 8);
+  budget.max_area_um2 = kv_double(kv, "budget_area_um2", 0.0);
 
   // Coalesce on everything that shapes the report; the (possibly large)
   // model/frontier documents enter the key by content hash + length.
   const std::string key =
-      "netmap|" + std::to_string(nopt.budget.max_macros) + "|" +
-      json_number(nopt.budget.max_area_um2) + "|m" +
+      "netmap|" + std::to_string(budget.max_macros) + "|" +
+      json_number(budget.max_area_um2) + "|m" +
       std::to_string(dse::fnv1a64(model_text)) + ":" +
       std::to_string(model_text.size()) + "|f" +
       std::to_string(dse::fnv1a64(frontier_text)) + ":" +
@@ -544,10 +540,10 @@ std::string Server::handle_netmap(const Request& req,
         } else {
           const dse::SweepGrid grid = dse::grid_from_kv(kv);
           dse::SweepOptions sopt;
-          sopt.threads = threads;
+          sopt.threads = opt_.sweep_threads;
           // Candidates only need the frontier points themselves; the
           // lint annotations never reach the netmap report, so skip the
-          // sequential frontier lint.
+          // frontier lint.
           sopt.lint_frontier = false;
           sopt.shared_store = store_.get();
           sopt.cancel = token;
@@ -557,7 +553,8 @@ std::string Server::handle_netmap(const Request& req,
           cands = netmap::candidates_from_frontier(rep);
         }
         token->check("netmap.map");
-        const netmap::NetmapResult res = netmap::run_netmap(model, cands, nopt);
+        const netmap::NetmapResult res =
+            netmap::run_netmap(model, cands, budget);
         std::ostringstream os;
         os << "{\"layers\": " << res.layers.size()
            << ", \"candidates\": " << res.candidates.size()
@@ -610,9 +607,7 @@ std::string Server::handle_lint(const Request& req) {
     }
   }
 
-  lint::LintOptions lopt;
-  lopt.write_clock = write_clock;
-  if (!top.empty()) lint::lint_top(design, top, lib_, diag, lopt);
+  if (!top.empty()) lint::lint_top(design, top, lib_, diag, write_clock);
 
   std::ostringstream os;
   os << "{\"errors\": " << diag.error_count()

@@ -50,8 +50,9 @@ struct ServerOptions {
   int port = 0;             ///< 0: ephemeral (read back via Server::port())
   int workers = 2;          ///< request worker threads (clamped to >= 1)
   int queue_capacity = 32;  ///< admitted-but-unfinished request cap
-  /// Threads each in-request sweep may use (<= 0: hardware concurrency).
-  /// Kept small by default so concurrent tenants share the machine.
+  /// Threads each in-request sweep runs on (<= 0: hardware concurrency);
+  /// no request param changes it. Kept small by default so concurrent
+  /// tenants share the machine.
   int sweep_threads = 2;
   int max_connections = 64;
   /// Per-tier artifact store bounds (0 = unlimited); see

@@ -49,9 +49,8 @@ void index_ports(const std::vector<FlatNetlist::PrimaryIo>& ios,
 }
 }  // namespace
 
-GateSim::GateSim(const FlatNetlist& nl, const cell::Library& lib, int lanes,
-                 bool event_driven)
-    : nl_(nl), lanes_(lanes), event_driven_(event_driven) {
+GateSim::GateSim(const FlatNetlist& nl, const cell::Library& lib, int lanes)
+    : nl_(nl), lanes_(lanes) {
   if (lanes < 1 || lanes > 64) {
     throw std::invalid_argument("GateSim: lanes must be in [1, 64]");
   }
@@ -121,13 +120,13 @@ GateSim::GateSim(const FlatNetlist& nl, const cell::Library& lib, int lanes,
     }
   }
 
-  levels_ = netlist::levelize(nl, lv, "GateSim");
-  for (const auto& level : levels_) comb_total_ += level.size();
+  const auto levels = netlist::levelize(nl, lv, "GateSim");
+  for (const auto& level : levels) comb_total_ += level.size();
 
   // Event-driven bookkeeping: per-gate level and per-net comb-load CSR.
   gate_level_.assign(ngates, kNoLevel);
-  for (std::uint32_t l = 0; l < levels_.size(); ++l) {
-    for (const std::uint32_t g : levels_[l]) gate_level_[g] = l;
+  for (std::uint32_t l = 0; l < levels.size(); ++l) {
+    for (const std::uint32_t g : levels[l]) gate_level_[g] = l;
   }
   std::vector<std::uint32_t> load_count(nl.net_count() + 1, 0);
   for (std::uint32_t g = 0; g < ngates; ++g) {
@@ -151,12 +150,12 @@ GateSim::GateSim(const FlatNetlist& nl, const cell::Library& lib, int lanes,
       load_pool_[load_start_[net] + fill[net]++] = g;
     }
   }
-  dirty_.resize(levels_.size());
+  dirty_.resize(levels.size());
   in_dirty_.assign(ngates, 0);
   // Everything starts unsettled: the first eval() performs one full sweep.
-  for (std::uint32_t l = 0; l < levels_.size(); ++l) {
-    dirty_[l] = levels_[l];
-    for (const std::uint32_t g : levels_[l]) in_dirty_[g] = 1;
+  for (std::uint32_t l = 0; l < levels.size(); ++l) {
+    dirty_[l] = levels[l];
+    for (const std::uint32_t g : levels[l]) in_dirty_[g] = 1;
   }
 
   values_.assign(nl.net_count(), 0);
@@ -223,7 +222,7 @@ void GateSim::write_net(std::uint32_t net, std::uint64_t word) {
   if (prev == word) return;
   values_[net] = word;
   toggles_[net] += static_cast<std::uint64_t>(std::popcount(prev ^ word));
-  if (event_driven_) mark_loads_dirty(net);
+  mark_loads_dirty(net);
 }
 
 void GateSim::set_input(std::string_view port, int value) {
@@ -358,26 +357,19 @@ void GateSim::eval() {
     if (net == kNoNet) continue;
     write_net(net, state_[g]);
   }
-  if (event_driven_) {
-    std::uint64_t evaluated = 0;
-    for (auto& level : dirty_) {
-      // A gate's fan-in is driven strictly below its level, so nothing
-      // re-dirties this bucket while we drain it.
-      for (const std::uint32_t g : level) {
-        in_dirty_[g] = 0;
-        eval_gate(g);
-      }
-      evaluated += level.size();
-      level.clear();
+  std::uint64_t evaluated = 0;
+  for (auto& level : dirty_) {
+    // A gate's fan-in is driven strictly below its level, so nothing
+    // re-dirties this bucket while we drain it.
+    for (const std::uint32_t g : level) {
+      in_dirty_[g] = 0;
+      eval_gate(g);
     }
-    gate_evals_ += evaluated;
-    events_skipped_ += comb_total_ - evaluated;
-  } else {
-    for (const auto& level : levels_) {
-      for (const std::uint32_t g : level) eval_gate(g);
-    }
-    gate_evals_ += comb_total_;
+    evaluated += level.size();
+    level.clear();
   }
+  gate_evals_ += evaluated;
+  events_skipped_ += comb_total_ - evaluated;
 }
 
 void GateSim::step() {

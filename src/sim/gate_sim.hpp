@@ -25,9 +25,7 @@ namespace syndcim::sim {
 /// visit only gates whose fan-in word actually changed since their last
 /// evaluation, instead of sweeping every level. Because an unchanged
 /// fan-in word can only reproduce the unchanged output word (gates are
-/// pure), event-driven and full-sweep evaluation are exactly equivalent —
-/// same values, same toggles — so `event_driven` is a pure scheduling
-/// knob kept only as the benchmark control arm.
+/// pure), skipping a clean gate never changes a value or a toggle count.
 ///
 /// Sequential semantics: DFF/DFFE/LATCH and SRAM bitcells hold one state
 /// word per gate (64 independent lane states); `step()` evaluates
@@ -41,10 +39,9 @@ namespace syndcim::sim {
 /// stimulus path does no string formatting and no linear netlist scans.
 class GateSim {
  public:
-  /// `lanes` in [1, 64]; `event_driven == false` forces the full-sweep
-  /// schedule (control arm — results are identical either way).
+  /// `lanes` in [1, 64].
   GateSim(const netlist::FlatNetlist& nl, const cell::Library& lib,
-          int lanes = 1, bool event_driven = true);
+          int lanes = 1);
 
   // --- stimulus ---
   /// Broadcasts a scalar bit to every lane of the port's net.
@@ -103,7 +100,6 @@ class GateSim {
   }
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
   [[nodiscard]] int lanes() const { return lanes_; }
-  [[nodiscard]] bool event_driven() const { return event_driven_; }
 
   // --- scheduler statistics (obs: sim.gate_evals / sim.events_skipped) ---
   /// Combinational gate evaluations actually performed.
@@ -121,8 +117,8 @@ class GateSim {
 
  private:
   void eval_gate(std::uint32_t g);
-  /// Writes a net word, counts lane toggles, and (event-driven) marks the
-  /// net's combinational loads dirty.
+  /// Writes a net word, counts lane toggles, and marks the net's
+  /// combinational loads dirty.
   void write_net(std::uint32_t net, std::uint64_t word);
   void mark_loads_dirty(std::uint32_t net);
   [[nodiscard]] std::uint32_t input_net(std::string_view port) const;
@@ -133,7 +129,6 @@ class GateSim {
 
   const netlist::FlatNetlist& nl_;
   int lanes_ = 1;
-  bool event_driven_ = true;
   std::uint64_t mask_ = 1;                // low `lanes_` bits set
   std::vector<const cell::Cell*> cells_;  // per gate
   std::vector<cell::Kind> kinds_;         // per gate
@@ -142,8 +137,7 @@ class GateSim {
   std::vector<std::uint32_t> gate_pin_start_;  // size gates+1
   std::vector<std::uint8_t> gate_n_in_;
 
-  std::vector<std::vector<std::uint32_t>> levels_;  // combinational order
-  std::vector<std::uint32_t> seq_gates_;            // registers + bitcells
+  std::vector<std::uint32_t> seq_gates_;  // registers + bitcells
   std::vector<std::uint32_t> bitcells_;
 
   // Event-driven worklist: per-net combinational loads (CSR), each comb

@@ -8,6 +8,7 @@
 #include "core/report.hpp"
 #include "core/scl.hpp"
 #include "core/searcher.hpp"
+#include "core/spec.hpp"
 #include "netlist/flatten.hpp"
 #include "power/power.hpp"
 #include "tech/tech_node.hpp"
@@ -348,6 +349,19 @@ TEST(Power, HotCornerRaisesLeakageOnly) {
   const auto ph = power::analyze_power(flat, lib(), act, hot);
   EXPECT_NEAR(ph.leakage_uw / pc.leakage_uw, 16.0, 0.5);
   EXPECT_DOUBLE_EQ(ph.dynamic_uw(), pc.dynamic_uw());
+}
+
+// A key the compiler does not act on must throw like any unknown key:
+// accepting temp_c=125 would compile at the nominal 25 C without a word.
+TEST(Spec, FromKvRejectsTempCAndUnknownKeys) {
+  const PerfSpec ok = core::spec_from_kv({{"rows", "32"}, {"mac_mhz", "300"}});
+  EXPECT_EQ(ok.rows, 32);
+  EXPECT_DOUBLE_EQ(ok.mac_freq_mhz, 300.0);
+  EXPECT_THROW((void)core::spec_from_kv({{"temp_c", "125"}}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)core::spec_from_kv({{"rows", "32"}, {"no_such_key", "1"}}),
+      std::invalid_argument);
 }
 
 }  // namespace

@@ -110,7 +110,7 @@ const PipelinePayloads& payloads() {
     }
     {
       core::DiagEngine dg;
-      out.placed.floorplan = layout::sdp_place(out.flat, lib, cfg, {}, &dg);
+      out.placed.floorplan = layout::sdp_place(out.flat, lib, cfg, &dg);
       out.placed.diags = dg.diags();
     }
     out.route.drc = layout::run_drc(out.flat, lib, out.placed.floorplan);
@@ -402,6 +402,31 @@ TEST(DiskBlobStore, UnusableRootDegradesToMissesNotCrashes) {
   EXPECT_FALSE(store.get("flats", "k").has_value());
   EXPECT_GE(store.stats().write_fails, 1u);
   EXPECT_GE(store.pending_diags(), 1u);
+}
+
+// Opening a store sweeps only dead writers' tmp files: a tmp file whose pid
+// is running may be mid-write in another process, and removing it would
+// fail that writer's rename.
+TEST(DiskBlobStore, OpenSweepsOnlyDeadWritersTmpFiles) {
+  const std::string root = fresh_root("store_tmp_sweep");
+  std::filesystem::create_directories(root + "/tmp");
+  const pid_t dead = fork();
+  ASSERT_GE(dead, 0) << "fork failed";
+  if (dead == 0) _exit(0);
+  ASSERT_EQ(::waitpid(dead, nullptr, 0), dead);
+
+  const std::string live_tmp =
+      root + "/tmp/" + std::to_string(::getpid()) + "-7";
+  const std::string dead_tmp = root + "/tmp/" + std::to_string(dead) + "-7";
+  const std::string junk_tmp = root + "/tmp/junk";
+  for (const std::string& path : {live_tmp, dead_tmp, junk_tmp}) {
+    std::ofstream(path) << "partial";
+  }
+  core::DiskBlobStore store(root);
+  ASSERT_TRUE(store.usable());
+  EXPECT_TRUE(std::filesystem::exists(live_tmp));
+  EXPECT_FALSE(std::filesystem::exists(dead_tmp));
+  EXPECT_FALSE(std::filesystem::exists(junk_tmp));
 }
 
 TEST(DiskBlobStore, TwoProcessesShareOneStore) {

@@ -686,16 +686,13 @@ TEST(SweepFrontierLint, RepeatSweepAndCompileReuseTheLintStage) {
   }
   // Those lookups run where run_sweep runs: no worker thread starts for
   // them.
-  if (obs::kCompiledIn) {
-    int sweep_tid = -1;
-    std::vector<int> lint_tids;
-    for (const obs::RecordedSpan& s : spans) {
-      if (s.ev.name == "dse.sweep") sweep_tid = s.tid;
-      if (s.ev.name == "dse.frontier.lint") lint_tids.push_back(s.tid);
-    }
-    EXPECT_EQ(lint_tids,
-              std::vector<int>(second.frontier.size(), sweep_tid));
+  int sweep_tid = -1;
+  std::vector<int> lint_tids;
+  for (const obs::RecordedSpan& s : spans) {
+    if (s.ev.name == "dse.sweep") sweep_tid = s.tid;
+    if (s.ev.name == "dse.frontier.lint") lint_tids.push_back(s.tid);
   }
+  EXPECT_EQ(lint_tids, std::vector<int>(second.frontier.size(), sweep_tid));
 
   // Frontier lint ran implement()'s own map and lint stages, so a compile
   // of a frontier point over the same store skips both.

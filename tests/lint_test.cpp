@@ -187,9 +187,7 @@ endmodule
   // write-domain register driving D is not.
   {
     core::DiagEngine diag;
-    lint::LintOptions opt;
-    opt.write_clock = "wclk";
-    (void)lint::lint_netlist(flat_from(src, "wdom"), lib(), diag, opt);
+    (void)lint::lint_netlist(flat_from(src, "wdom"), lib(), diag, "wclk");
     EXPECT_EQ(diag.count_rule("LINT-CDC"), 1u);
     const auto c = diag.first_of("LINT-CDC");
     ASSERT_TRUE(c.has_value());
@@ -234,29 +232,30 @@ TEST(Lint, MissingTopIsAStructError) {
 }
 
 TEST(Lint, PerRuleCapTruncatesWithANote) {
-  // 10 separate floating nets, cap 4: 4 reported, a LINT-TRUNCATED note
-  // counts the other 6, and the summary still counts all 10 errors.
+  // 70 separate floating nets against the cap of 64: 64 reported, a
+  // LINT-TRUNCATED note counts the other 6, and the summary still counts
+  // all 70 errors.
+  constexpr int kNets = 70;
+  static_assert(kNets > static_cast<int>(lint::kMaxPerRule));
   std::string src = "module caps (";
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < kNets; ++i) {
     src += (i ? ", " : "") + ("o" + std::to_string(i));
   }
   src += ");\n";
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < kNets; ++i) {
     src += "  output o" + std::to_string(i) + ";\n";
     src += "  wire f" + std::to_string(i) + ";\n";
   }
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < kNets; ++i) {
     src += "  INVX1 u" + std::to_string(i) + " (.A(f" + std::to_string(i) +
            "), .Y(o" + std::to_string(i) + "));\n";
   }
   src += "endmodule\n";
   core::DiagEngine diag;
-  lint::LintOptions opt;
-  opt.max_per_rule = 4;
   const lint::LintSummary s =
-      lint::lint_netlist(flat_from(src, "caps"), lib(), diag, opt);
-  EXPECT_EQ(s.errors, 10u);
-  EXPECT_EQ(diag.count_rule("LINT-FLOATING"), 4u);
+      lint::lint_netlist(flat_from(src, "caps"), lib(), diag);
+  EXPECT_EQ(s.errors, 70u);
+  EXPECT_EQ(diag.count_rule("LINT-FLOATING"), 64u);
   EXPECT_EQ(diag.count_rule("LINT-TRUNCATED"), 1u);
   EXPECT_NE(diag.first_of("LINT-TRUNCATED")->message.find("6 further"),
             std::string::npos);
@@ -319,7 +318,7 @@ TEST(Lint, FloorplanRejectsMalformedColumnGroupNames) {
       netlist::flatten(macro.design, macro.top);
   core::DiagEngine diag;
   const layout::Floorplan fp =
-      layout::sdp_place(flat, lib(), small_cfg(), {}, &diag);
+      layout::sdp_place(flat, lib(), small_cfg(), &diag);
   EXPECT_EQ(diag.count_rule("FP-BADGROUP"), 1u);
   EXPECT_EQ(diag.first_of("FP-BADGROUP")->object, "col_bogus");
   // The real columns are all still placed.

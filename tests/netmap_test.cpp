@@ -374,10 +374,10 @@ std::vector<netmap::MacroCandidate> diverse_pool() {
 
 TEST(NetmapAllocate, HetNeverLosesToHomogOnEnergy) {
   const netmap::Model model = two_layer_model();
-  netmap::NetmapOptions opt;
-  opt.budget.max_macros = 4;
+  netmap::Budget budget;
+  budget.max_macros = 4;
   const netmap::NetmapResult res =
-      netmap::run_netmap(model, diverse_pool(), opt);
+      netmap::run_netmap(model, diverse_pool(), budget);
   ASSERT_TRUE(res.homog.valid);
   EXPECT_LE(res.total_energy_pj, res.homog.energy_pj + 1e-9);
   EXPECT_EQ(res.layers.size(), 2u);
@@ -387,10 +387,10 @@ TEST(NetmapAllocate, HetNeverLosesToHomogOnEnergy) {
 TEST(NetmapAllocate, RespectsMacroAndAreaBudgets) {
   const netmap::Model model = two_layer_model();
   for (const int max_macros : {1, 2, 3, 8}) {
-    netmap::NetmapOptions opt;
-    opt.budget.max_macros = max_macros;
+    netmap::Budget budget;
+    budget.max_macros = max_macros;
     const netmap::NetmapResult res =
-        netmap::run_netmap(model, diverse_pool(), opt);
+        netmap::run_netmap(model, diverse_pool(), budget);
     EXPECT_LE(res.fleet_macros, max_macros);
     int owned = 0;
     double area = 0.0;
@@ -402,9 +402,9 @@ TEST(NetmapAllocate, RespectsMacroAndAreaBudgets) {
     EXPECT_DOUBLE_EQ(area, res.fleet_area_um2);
   }
   // An area budget that only fits the small type forces it everywhere.
-  netmap::NetmapOptions tight;
-  tight.budget.max_macros = 4;
-  tight.budget.max_area_um2 = 50000;
+  netmap::Budget tight;
+  tight.max_macros = 4;
+  tight.max_area_um2 = 50000;
   const netmap::NetmapResult res =
       netmap::run_netmap(model, diverse_pool(), tight);
   ASSERT_EQ(res.fleet.size(), 1u);
@@ -422,8 +422,8 @@ TEST(NetmapAllocate, ThrowsOnDegenerateInputs) {
   wide.layers.push_back(make_layer("wide", 1, 8, 8, 12, 12));
   EXPECT_THROW((void)netmap::run_netmap(wide, diverse_pool()),
                std::invalid_argument);
-  netmap::NetmapOptions bad;
-  bad.budget.max_macros = 0;
+  netmap::Budget bad;
+  bad.max_macros = 0;
   EXPECT_THROW((void)netmap::run_netmap(model, diverse_pool(), bad),
                std::invalid_argument);
 }
@@ -440,9 +440,9 @@ TEST(NetmapAllocate, MixedPrecisionModelSplitsTheFleet) {
       make_cand("both", 64, 64, 2, {4, 8}, 400, 400, 2000, 60000),
       make_cand("narrow", 64, 64, 2, {4}, 400, 400, 900, 30000),
   };
-  netmap::NetmapOptions opt;
-  opt.budget.max_macros = 4;
-  const netmap::NetmapResult res = netmap::run_netmap(m, pool, opt);
+  netmap::Budget budget;
+  budget.max_macros = 4;
+  const netmap::NetmapResult res = netmap::run_netmap(m, pool, budget);
   ASSERT_TRUE(res.homog.valid);
   // Only "both" supports the INT8 layer, so homog must use it; the
   // heterogeneous fleet runs the INT4 layer on the cheaper narrow macro

@@ -36,15 +36,6 @@ class ObsTest : public ::testing::Test {
 
 }  // namespace
 
-// Span tests need the instrumentation compiled in; under
-// -DSYNDCIM_OBS_DISABLED they verify nothing and are skipped.
-#define OBS_REQUIRE_COMPILED_IN()                       \
-  do {                                                  \
-    if (!obs::kCompiledIn) {                            \
-      GTEST_SKIP() << "built with OBS_DISABLED";        \
-    }                                                   \
-  } while (false)
-
 // ---------------------------------------------------------------------------
 // Spans
 // ---------------------------------------------------------------------------
@@ -58,7 +49,6 @@ TEST_F(ObsTest, DisabledRecordsNothing) {
 }
 
 TEST_F(ObsTest, SpanNestingIsContained) {
-  OBS_REQUIRE_COMPILED_IN();
   obs::set_enabled(true);
   {
     OBS_SPAN("outer");
@@ -84,7 +74,6 @@ TEST_F(ObsTest, SpanNestingIsContained) {
 }
 
 TEST_F(ObsTest, ThreadAttribution) {
-  OBS_REQUIRE_COMPILED_IN();
   obs::set_enabled(true);
   obs::tracer().set_thread_name("obs-test-main");
   {
@@ -113,7 +102,6 @@ TEST_F(ObsTest, ThreadAttribution) {
 }
 
 TEST_F(ObsTest, DynamicSpanNamesAndManyEventsCrossChunks) {
-  OBS_REQUIRE_COMPILED_IN();
   obs::set_enabled(true);
   // More events than one chunk holds, to cover the spill path.
   for (int i = 0; i < 3000; ++i) {
@@ -123,7 +111,6 @@ TEST_F(ObsTest, DynamicSpanNamesAndManyEventsCrossChunks) {
 }
 
 TEST_F(ObsTest, TraceJsonRoundTrips) {
-  OBS_REQUIRE_COMPILED_IN();
   obs::set_enabled(true);
   const std::string thread_name = "json \"escaped\" \\ name";
   std::vector<std::string> span_names = {"phase.one", "phase\nwith\tescapes"};
@@ -240,7 +227,6 @@ TEST_F(ObsTest, ConcurrentCounterIncrementsAreExact) {
 }
 
 TEST_F(ObsTest, ConcurrentSpansFromManyThreadsAllLand) {
-  OBS_REQUIRE_COMPILED_IN();
   obs::set_enabled(true);
   constexpr int kThreads = 8;
   constexpr int kSpansPerThread = 500;
@@ -344,7 +330,6 @@ TEST_F(ObsTest, PhaseTimelineRecordsOrderedPhases) {
 }
 
 TEST_F(ObsTest, PhaseScopeEmitsTraceSpanWhenEnabled) {
-  OBS_REQUIRE_COMPILED_IN();
   obs::set_enabled(true);
   obs::PhaseTimeline tl;
   {

@@ -835,10 +835,10 @@ TEST(ServeDaemon, NetmapMatchesBatchByteForByte) {
   sopt.lint_frontier = false;
   const dse::SweepReport rep = dse::run_sweep(
       test_library(), dse::grid_from_kv(small_sweep_params()).expand(), sopt);
-  netmap::NetmapOptions nopt;
-  nopt.budget.max_macros = 2;
+  netmap::Budget budget;
+  budget.max_macros = 2;
   const netmap::NetmapResult res =
-      netmap::run_netmap(model, netmap::candidates_from_frontier(rep), nopt);
+      netmap::run_netmap(model, netmap::candidates_from_frontier(rep), budget);
   EXPECT_EQ(report->as_string(), netmap::netmap_report_json(res));
 
   // A missing model param is a 400, not a crash.
@@ -846,6 +846,35 @@ TEST(ServeDaemon, NetmapMatchesBatchByteForByte) {
       call(server->port(), "netmap", small_sweep_params());
   EXPECT_FALSE(missing.ok);
   EXPECT_EQ(missing.code, serve::kErrBadRequest);
+  server->drain();
+}
+
+// `threads` is not a request param: --sweep-threads alone sets how many
+// threads a served sweep or netmap starts. A request naming it is a 400
+// (an unknown spec key) before any worker thread starts, and the daemon
+// keeps answering.
+TEST(ServeDaemon, ThreadsAboveSweepThreadsIsA400) {
+  serve::ServerOptions opt;
+  opt.sweep_threads = 2;
+  auto server = start_server(opt);
+  std::map<std::string, std::string> params = small_sweep_params();
+  params["threads"] = "3";
+  const serve::ClientResponse sweep = call(server->port(), "sweep", params);
+  EXPECT_FALSE(sweep.ok);
+  EXPECT_EQ(sweep.code, serve::kErrBadRequest) << sweep.raw;
+
+  serve::Client client;
+  std::string err;
+  ASSERT_TRUE(client.connect("127.0.0.1", server->port(), &err)) << err;
+  serve::ClientResponse netmap;
+  ASSERT_TRUE(client.call_extra("netmap", params, "model", kModelDoc, 0,
+                                &netmap, &err))
+      << err;
+  EXPECT_FALSE(netmap.ok);
+  EXPECT_EQ(netmap.code, serve::kErrBadRequest) << netmap.raw;
+
+  const serve::ClientResponse status = call(server->port(), "status", {});
+  EXPECT_TRUE(status.ok) << status.raw;
   server->drain();
 }
 

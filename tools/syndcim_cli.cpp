@@ -26,7 +26,7 @@
 // Spec keys: rows, cols, mcr, input_bits (comma list), weight_bits,
 // fp (fp4|fp8|bf16|fp16, comma list), mac_mhz, wupdate_mhz, vdd,
 // pref_power, pref_area, pref_perf, bitcell (6T|8T|12T),
-// mux (pg|tg|oai22), temp_c.
+// mux (pg|tg|oai22).
 //
 // Sweep grid keys (comma lists; `;` separates precision groups):
 //   sweep_mac_mhz=250,350,450    MAC frequency dimension
@@ -102,7 +102,7 @@ void usage_compile(std::ostream& os) {
         "    key=value         inline spec keys (rows, cols, mcr,\n"
         "                      input_bits, weight_bits, fp, mac_mhz,\n"
         "                      wupdate_mhz, vdd, pref_power, pref_area,\n"
-        "                      pref_perf, bitcell, mux, temp_c)\n"
+        "                      pref_perf, bitcell, mux)\n"
      << kCommonOptions
      << "  exit status: 0 signoff-clean, 1 infeasible/dirty, 2 usage/IO\n";
 }
@@ -189,7 +189,7 @@ void usage_serve(std::ostream& os) {
         "    --workers N       request worker threads (default 2)\n"
         "    --queue-cap N     admitted-request cap; beyond it new\n"
         "                      requests are rejected with 429 (default 32)\n"
-        "    --sweep-threads N threads each in-request sweep may use\n"
+        "    --sweep-threads N threads each in-request sweep runs on\n"
         "                      (default 2)\n"
         "    --max-conn N      concurrent connection cap (default 64)\n"
         "    --cache-cap-entries N  per-tier artifact cache entry cap\n"
@@ -472,7 +472,7 @@ int run_sweep_command(const Args& args) {
 int run_netmap_command(const Args& args) {
   std::map<std::string, std::string> kv;
   dse::SweepOptions sopt;
-  netmap::NetmapOptions nopt;
+  netmap::Budget budget;
   std::string model_path, frontier_path, json_path;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
@@ -499,9 +499,9 @@ int run_netmap_command(const Args& args) {
     } else if (a == "--frontier-json" && i + 1 < args.size()) {
       frontier_path = args[++i];
     } else if (a == "--budget-macros") {
-      if (!int_arg("--budget-macros", &nopt.budget.max_macros)) return 2;
+      if (!int_arg("--budget-macros", &budget.max_macros)) return 2;
     } else if (a == "--budget-area") {
-      if (!int_arg("--budget-area", &nopt.budget.max_area_um2)) return 2;
+      if (!int_arg("--budget-area", &budget.max_area_um2)) return 2;
     } else if (a == "--threads") {
       if (!int_arg("--threads", &sopt.threads)) return 2;
     } else if (a == "--spec" && i + 1 < args.size()) {
@@ -581,7 +581,7 @@ int run_netmap_command(const Args& args) {
 
   netmap::NetmapResult res;
   try {
-    res = netmap::run_netmap(model, cands, nopt);
+    res = netmap::run_netmap(model, cands, budget);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
@@ -702,9 +702,7 @@ int run_lint_command(const Args& args) {
     }
   }
 
-  lint::LintOptions lopt;
-  lopt.write_clock = write_clock;
-  if (!top.empty()) lint::lint_top(design, top, lib, diag, lopt);
+  if (!top.empty()) lint::lint_top(design, top, lib, diag, write_clock);
 
   diag.print(std::cerr);
   if (!json_path.empty()) {
