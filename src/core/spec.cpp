@@ -1,5 +1,7 @@
 #include "core/spec.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -15,15 +17,46 @@ std::string hexd(double v) {
   std::snprintf(buf, sizeof(buf), "%a", v);
   return buf;
 }
+}  // namespace
 
-std::vector<int> parse_int_list(const std::string& s) {
+template <typename Int>
+Int parse_int(const std::string& key, const std::string& value) {
+  Int v = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument(key + ": '" + value +
+                                "' is not an integer in range");
+  }
+  return v;
+}
+template int parse_int<int>(const std::string&, const std::string&);
+template std::size_t parse_int<std::size_t>(const std::string&,
+                                            const std::string&);
+
+double parse_number(const std::string& key, const std::string& value,
+                    bool positive) {
+  double v = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v)) {
+    throw std::invalid_argument(key + ": '" + value +
+                                "' is not a finite number");
+  }
+  if (positive && !(v > 0)) {
+    throw std::invalid_argument(key + ": '" + value + "' is not > 0");
+  }
+  return v;
+}
+
+std::vector<int> parse_int_list(const std::string& key,
+                                const std::string& value) {
   std::vector<int> out;
-  std::stringstream ss(s);
+  std::stringstream ss(value);
   std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stoi(item));
+  while (std::getline(ss, item, ',')) out.push_back(parse_int(key, item));
   return out;
 }
-}  // namespace
 
 std::string spec_knobs_key(const PerfSpec& s) {
   std::ostringstream os;
@@ -96,15 +129,15 @@ PerfSpec spec_from_kv(const std::map<std::string, std::string>& kv) {
   PerfSpec spec;
   for (const auto& [k, v] : kv) {
     if (k == "rows") {
-      spec.rows = std::stoi(v);
+      spec.rows = parse_int(k, v);
     } else if (k == "cols") {
-      spec.cols = std::stoi(v);
+      spec.cols = parse_int(k, v);
     } else if (k == "mcr") {
-      spec.mcr = std::stoi(v);
+      spec.mcr = parse_int(k, v);
     } else if (k == "input_bits") {
-      spec.input_bits = parse_int_list(v);
+      spec.input_bits = parse_int_list(k, v);
     } else if (k == "weight_bits") {
-      spec.weight_bits = parse_int_list(v);
+      spec.weight_bits = parse_int_list(k, v);
     } else if (k == "fp") {
       std::stringstream ss(v);
       std::string f;
@@ -122,25 +155,39 @@ PerfSpec spec_from_kv(const std::map<std::string, std::string>& kv) {
         }
       }
     } else if (k == "mac_mhz") {
-      spec.mac_freq_mhz = std::stod(v);
+      spec.mac_freq_mhz = parse_number(k, v, /*positive=*/true);
     } else if (k == "wupdate_mhz") {
-      spec.wupdate_freq_mhz = std::stod(v);
+      spec.wupdate_freq_mhz = parse_number(k, v, /*positive=*/true);
     } else if (k == "vdd") {
-      spec.vdd = std::stod(v);
+      spec.vdd = parse_number(k, v, /*positive=*/true);
     } else if (k == "pref_power") {
-      spec.pref.power = std::stod(v);
+      spec.pref.power = parse_number(k, v);
     } else if (k == "pref_area") {
-      spec.pref.area = std::stod(v);
+      spec.pref.area = parse_number(k, v);
     } else if (k == "pref_perf") {
-      spec.pref.performance = std::stod(v);
+      spec.pref.performance = parse_number(k, v);
     } else if (k == "bitcell") {
-      spec.bitcell = v == "8T" ? rtlgen::BitcellKind::k8T
-                     : v == "12T" ? rtlgen::BitcellKind::k12T
-                                  : rtlgen::BitcellKind::k6T;
+      if (v == "6T") {
+        spec.bitcell = rtlgen::BitcellKind::k6T;
+      } else if (v == "8T") {
+        spec.bitcell = rtlgen::BitcellKind::k8T;
+      } else if (v == "12T") {
+        spec.bitcell = rtlgen::BitcellKind::k12T;
+      } else {
+        throw std::invalid_argument("bitcell: '" + v +
+                                    "' is not one of 6T|8T|12T");
+      }
     } else if (k == "mux") {
-      spec.mux = v == "pg"      ? rtlgen::MuxStyle::kPassGate1T
-                 : v == "oai22" ? rtlgen::MuxStyle::kOai22Fused
-                                : rtlgen::MuxStyle::kTGateNor;
+      if (v == "pg") {
+        spec.mux = rtlgen::MuxStyle::kPassGate1T;
+      } else if (v == "tg") {
+        spec.mux = rtlgen::MuxStyle::kTGateNor;
+      } else if (v == "oai22") {
+        spec.mux = rtlgen::MuxStyle::kOai22Fused;
+      } else {
+        throw std::invalid_argument("mux: '" + v +
+                                    "' is not one of pg|tg|oai22");
+      }
     } else {
       throw std::invalid_argument("unknown spec key: " + k);
     }

@@ -66,16 +66,36 @@ struct PerfSpec {
 /// architecture parameters, precision lists, PPA preference weights and
 /// SPEC-defined subcircuit choices. Two specs get the same string iff
 /// every field that can influence a compile's outcome is identical — the
-/// serve daemon's single-flight request coalescing keys on this.
+/// shard merge checks that every shard swept the same grid with this.
 [[nodiscard]] std::string spec_full_key(const PerfSpec& s);
+
+/// The one number parser of the spec vocabulary, the serve params and
+/// the CLI's numeric flags: all of `value` must be the number. Anything
+/// else — trailing characters, a value out of Int's range, an empty
+/// string — throws std::invalid_argument naming `key` and `value`, so
+/// `rows=32x` is not 32 and `rows=99999999999` is not a crash. Defined
+/// for int and std::size_t.
+template <typename Int = int>
+[[nodiscard]] Int parse_int(const std::string& key, const std::string& value);
+
+/// As parse_int, for a finite decimal number; `positive` also rejects
+/// values <= 0 (the clocks and the supply voltage).
+[[nodiscard]] double parse_number(const std::string& key,
+                                  const std::string& value,
+                                  bool positive = false);
+
+/// A comma-separated list of parse_int values (`input_bits=4,8`).
+[[nodiscard]] std::vector<int> parse_int_list(const std::string& key,
+                                              const std::string& value);
 
 /// Builds a PerfSpec from `key=value` string pairs — the shared parser
 /// behind the CLI spec files / inline arguments and the serve protocol's
 /// `"spec"` request object. Keys: rows, cols, mcr, input_bits (comma
 /// list), weight_bits, fp (fp4|fp8|bf16|fp16 comma list), mac_mhz,
 /// wupdate_mhz, vdd, pref_power, pref_area, pref_perf, bitcell
-/// (6T|8T|12T), mux (pg|tg|oai22). Unknown keys and malformed values
-/// throw std::invalid_argument.
+/// (6T|8T|12T), mux (pg|tg|oai22). Numbers go through parse_int and
+/// parse_number; mac_mhz, wupdate_mhz and vdd must be > 0. Unknown keys
+/// and malformed values throw std::invalid_argument.
 [[nodiscard]] PerfSpec spec_from_kv(
     const std::map<std::string, std::string>& kv);
 

@@ -73,6 +73,7 @@ std::string ArtifactStore::stats_json() const {
     os << "{\"name\": \"" << json::json_escape(t.name)
        << "\", \"hits\": " << t.hits << ", \"misses\": " << t.misses
        << ", \"entries\": " << t.entries << ", \"evicted\": " << t.evicted
+       << ", \"inflight_waits\": " << t.inflight_waits
        << ", \"bytes\": " << t.bytes << ", \"l2_hits\": " << t.l2_hits
        << ", \"l2_misses\": " << t.l2_misses
        << ", \"l2_writes\": " << t.l2_writes
@@ -92,6 +93,8 @@ void ArtifactStore::publish_metrics(const std::string& prefix) const {
     reg.gauge(base + ".misses").set(static_cast<double>(t.misses));
     reg.gauge(base + ".entries").set(static_cast<double>(t.entries));
     reg.gauge(base + ".evicted").set(static_cast<double>(t.evicted));
+    reg.gauge(base + ".inflight_waits")
+        .set(static_cast<double>(t.inflight_waits));
     reg.gauge(base + ".l2_hits").set(static_cast<double>(t.l2_hits));
     reg.gauge(base + ".l2_writes").set(static_cast<double>(t.l2_writes));
   }

@@ -184,12 +184,13 @@ struct ArtifactStore {
   [[nodiscard]] std::uint64_t total_evicted() const;
 
   /// {"format": "syndcim-artifact-store", "tiers": [{"name", "hits",
-  ///  "misses", "entries"}, ...]} — tier order is stable.
+  ///  "misses", "entries", "evicted", "inflight_waits", ...}, ...]} —
+  /// tier order is stable.
   [[nodiscard]] std::string stats_json() const;
 
-  /// Publishes per-tier hit/miss/entry counts into the obs metrics
-  /// registry as `<prefix>.<tier>.{hits,misses,entries}` (no-op when
-  /// observability is disabled).
+  /// Publishes per-tier counts into the obs metrics registry as
+  /// `<prefix>.<tier>.{hits,misses,entries,evicted,inflight_waits,...}`
+  /// (no-op when observability is disabled).
   void publish_metrics(const std::string& prefix = "artifact") const;
 
  private:

@@ -49,8 +49,8 @@ std::string canonical_spec_knobs_key(const core::PerfSpec& s) {
 std::uint64_t fnv1a64(const std::string& s) {
   // 1469598103934665603 is the standard FNV-1a 64-bit offset basis
   // (14695981039346656037) with its last digit missing. Frontier point
-  // ids, serve's netmap coalescing keys and committed digests depend on
-  // this exact output, so the basis is kept as it is.
+  // ids and committed digests depend on this exact output, so the basis
+  // is kept as it is.
   return core::artifact_fnv1a64(s.data(), s.size(), 1469598103934665603ull);
 }
 

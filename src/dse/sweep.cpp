@@ -221,27 +221,20 @@ SweepGrid grid_from_kv(std::map<std::string, std::string> kv) {
     std::stringstream ss(it->second);
     std::string item;
     while (std::getline(ss, item, ',')) {
-      grid.mac_freqs_mhz.push_back(std::stod(item));
+      grid.mac_freqs_mhz.push_back(
+          core::parse_number(it->first, item, /*positive=*/true));
     }
     kv.erase(it);
   }
   if (const auto it = kv.find("sweep_mcr"); it != kv.end()) {
-    std::stringstream ss(it->second);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      grid.mcrs.push_back(std::stoi(item));
-    }
+    grid.mcrs = core::parse_int_list(it->first, it->second);
     kv.erase(it);
   }
   if (const auto it = kv.find("sweep_bits"); it != kv.end()) {
     std::stringstream groups(it->second);
     std::string group;
     while (std::getline(groups, group, ';')) {
-      std::stringstream ss(group);
-      std::string item;
-      std::vector<int> bits;
-      while (std::getline(ss, item, ',')) bits.push_back(std::stoi(item));
-      grid.precisions.push_back(std::move(bits));
+      grid.precisions.push_back(core::parse_int_list(it->first, group));
     }
     kv.erase(it);
   }

@@ -34,19 +34,6 @@ namespace {
 
 std::string bool_json(bool b) { return b ? "true" : "false"; }
 
-/// Canonical serialization of a kv map (std::map iterates sorted), used
-/// as the single-flight key for sweep requests.
-std::string kv_key(const std::map<std::string, std::string>& kv) {
-  std::string out;
-  for (const auto& [k, v] : kv) {
-    out += k;
-    out += '=';
-    out += v;
-    out += ';';
-  }
-  return out;
-}
-
 bool kv_flag(std::map<std::string, std::string>& kv, const std::string& key,
              bool fallback) {
   const auto it = kv.find(key);
@@ -65,12 +52,7 @@ int kv_int(std::map<std::string, std::string>& kv, const std::string& key,
            int fallback) {
   const auto it = kv.find(key);
   if (it == kv.end()) return fallback;
-  int v = 0;
-  try {
-    v = std::stoi(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("param '" + key + "' must be an integer");
-  }
+  const int v = core::parse_int(key, it->second);
   kv.erase(it);
   return v;
 }
@@ -79,12 +61,7 @@ double kv_double(std::map<std::string, std::string>& kv,
                  const std::string& key, double fallback) {
   const auto it = kv.find(key);
   if (it == kv.end()) return fallback;
-  double v = 0;
-  try {
-    v = std::stod(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("param '" + key + "' must be a number");
-  }
+  const double v = core::parse_number(key, it->second);
   kv.erase(it);
   return v;
 }
@@ -373,124 +350,78 @@ std::string Server::handle_compile(const Request& req,
                                    const core::CancelToken* token) {
   std::map<std::string, std::string> kv = params_to_kv(req.params);
   const bool search_only = kv_flag(kv, "search_only", false);
-  const int lanes = kv_int(kv, "sim_lanes", 1);
-  if (lanes < 1 || lanes > 64) {
-    throw std::invalid_argument("sim_lanes must be in [1, 64]");
-  }
   const core::PerfSpec spec = core::spec_from_kv(kv);
-  const std::string key = std::string("compile|") +
-                          (search_only ? "search|" : "full|") +
-                          std::to_string(lanes) + "|" +
-                          core::spec_full_key(spec);
-
-  bool leader = false;
-  const std::string payload = flight_.run(
-      key,
-      [&] {
-        obs::metrics().counter("serve.compile.evaluated").inc();
-        core::SynDcimCompiler compiler(lib_, store_);
-        std::ostringstream os;
-        if (search_only) {
-          token->check("compile.search");
-          const core::SearchResult res = compiler.search(spec);
-          os << "{\"search_only\": true, \"feasible\": "
-             << bool_json(res.feasible())
-             << ", \"pareto_size\": " << res.pareto.size() << ", \"pareto\": [";
-          for (std::size_t i = 0; i < res.pareto.size(); ++i) {
-            const auto& p = res.pareto[i];
-            if (i) os << ", ";
-            os << "{\"label\": \"" << json_escape(p.label)
-               << "\", \"feasible\": " << bool_json(p.feasible)
-               << ", \"power_uw\": " << json_number(p.ppa.power_uw)
-               << ", \"area_um2\": " << json_number(p.ppa.area_um2)
-               << ", \"fmax_mhz\": " << json_number(p.ppa.fmax_mhz) << "}";
-          }
-          os << "]}";
-        } else {
-          core::Workload wl;
-          wl.lanes = lanes;
-          const core::CompileResult result = compiler.compile(spec, wl, token);
-          std::size_t runs = 0, skips = 0;
-          for (const core::StageRecord& s : result.impl.stages) {
-            (s.skipped ? skips : runs) += 1;
-          }
-          const double total = static_cast<double>(runs + skips);
-          os << "{\"search_only\": false, \"selected\": \""
-             << json_escape(result.selected.label)
-             << "\", \"pareto_size\": " << result.search.pareto.size()
-             << ", \"fmax_mhz\": " << json_number(result.impl.fmax_mhz)
-             << ", \"area_mm2\": " << json_number(result.impl.macro_area_mm2)
-             << ", \"power_uw\": " << json_number(result.impl.total_power_uw)
-             << ", \"tops_1b\": " << json_number(result.impl.tops_1b)
-             << ", \"signoff_clean\": "
-             << bool_json(result.impl.signoff_clean())
-             << ", \"stages_run\": " << runs
-             << ", \"stages_skipped\": " << skips << ", \"skip_pct\": "
-             << json_number(total > 0 ? static_cast<double>(skips) / total
-                                      : 0.0)
-             << "}";
-        }
-        return os.str();
-      },
-      &leader, token);
-  obs::metrics()
-      .counter(leader ? "serve.singleflight.leader"
-                      : "serve.singleflight.coalesced")
-      .inc();
-  return payload;
+  core::SynDcimCompiler compiler(lib_, store_);
+  std::ostringstream os;
+  if (search_only) {
+    token->check("compile.search");
+    const core::SearchResult res = compiler.search(spec);
+    os << "{\"search_only\": true, \"feasible\": " << bool_json(res.feasible())
+       << ", \"pareto_size\": " << res.pareto.size() << ", \"pareto\": [";
+    for (std::size_t i = 0; i < res.pareto.size(); ++i) {
+      const auto& p = res.pareto[i];
+      if (i) os << ", ";
+      os << "{\"label\": \"" << json_escape(p.label)
+         << "\", \"feasible\": " << bool_json(p.feasible)
+         << ", \"power_uw\": " << json_number(p.ppa.power_uw)
+         << ", \"area_um2\": " << json_number(p.ppa.area_um2)
+         << ", \"fmax_mhz\": " << json_number(p.ppa.fmax_mhz) << "}";
+    }
+    os << "]}";
+    return os.str();
+  }
+  const core::CompileResult result =
+      compiler.compile(spec, core::Workload{}, token);
+  std::size_t runs = 0, skips = 0;
+  for (const core::StageRecord& s : result.impl.stages) {
+    (s.skipped ? skips : runs) += 1;
+  }
+  const double total = static_cast<double>(runs + skips);
+  os << "{\"search_only\": false, \"selected\": \""
+     << json_escape(result.selected.label)
+     << "\", \"pareto_size\": " << result.search.pareto.size()
+     << ", \"fmax_mhz\": " << json_number(result.impl.fmax_mhz)
+     << ", \"area_mm2\": " << json_number(result.impl.macro_area_mm2)
+     << ", \"power_uw\": " << json_number(result.impl.total_power_uw)
+     << ", \"tops_1b\": " << json_number(result.impl.tops_1b)
+     << ", \"signoff_clean\": " << bool_json(result.impl.signoff_clean())
+     << ", \"stages_run\": " << runs << ", \"stages_skipped\": " << skips
+     << ", \"skip_pct\": "
+     << json_number(total > 0 ? static_cast<double>(skips) / total : 0.0)
+     << "}";
+  return os.str();
 }
 
 std::string Server::handle_sweep(const Request& req,
                                  const core::CancelToken* token) {
-  std::map<std::string, std::string> kv = params_to_kv(req.params);
-  const bool lint_frontier = kv_flag(kv, "lint_frontier", true);
-  const std::string key = std::string("sweep|lint") +
-                          (lint_frontier ? "1" : "0") + "|" + kv_key(kv);
+  const dse::SweepGrid grid = dse::grid_from_kv(params_to_kv(req.params));
+  const std::vector<core::PerfSpec> specs = grid.expand();
+  dse::SweepOptions sopt;
+  sopt.threads = opt_.sweep_threads;
+  sopt.shared_store = store_.get();
+  sopt.cancel = token;
+  const dse::SweepReport rep = dse::run_sweep(lib_, specs, sopt);
+  if (rep.cancelled) throw core::CancelledError("sweep");
 
-  bool leader = false;
-  const std::string payload = flight_.run(
-      key,
-      [&, kv] {
-        obs::metrics().counter("serve.sweep.evaluated").inc();
-        const dse::SweepGrid grid = dse::grid_from_kv(kv);
-        const std::vector<core::PerfSpec> specs = grid.expand();
-        dse::SweepOptions sopt;
-        sopt.threads = opt_.sweep_threads;
-        sopt.lint_frontier = lint_frontier;
-        sopt.shared_store = store_.get();
-        sopt.cancel = token;
-        const dse::SweepReport rep = dse::run_sweep(lib_, specs, sopt);
-        if (rep.cancelled) throw core::CancelledError("sweep");
-
-        // `eval_cache` is the slices tier, which the artifact totals
-        // already include: skip_pct counts every lookup once.
-        const std::uint64_t eh = rep.cache.hits, em = rep.cache.misses;
-        const std::uint64_t ah = rep.artifact_hits(),
-                            am = rep.artifact_misses();
-        const double skip_pct =
-            ah + am > 0 ? static_cast<double>(ah) / static_cast<double>(ah + am)
-                        : 0.0;
-        std::ostringstream os;
-        os << "{\"n_specs\": " << specs.size()
-           << ", \"n_tasks\": " << rep.n_tasks
-           << ", \"frontier_size\": " << rep.frontier.size()
-           << ", \"wall_ms\": " << json_number(rep.wall_ms)
-           << ", \"eval_cache\": {\"hits\": " << eh << ", \"misses\": " << em
-           << "}, \"artifacts\": {\"hits\": " << ah << ", \"misses\": " << am
-           << ", \"evicted\": " << store_->total_evicted()
-           << "}, \"skip_pct\": " << json_number(skip_pct)
-           << ", \"frontier_json\": \""
-           << json_escape(dse::sweep_frontier_json(rep))
-           << "\", \"report_json\": \""
-           << json_escape(dse::sweep_report_json(rep)) << "\"}";
-        return os.str();
-      },
-      &leader, token);
-  obs::metrics()
-      .counter(leader ? "serve.singleflight.leader"
-                      : "serve.singleflight.coalesced")
-      .inc();
-  return payload;
+  // `eval_cache` is the slices tier, which the artifact totals already
+  // include: skip_pct counts every lookup once.
+  const std::uint64_t eh = rep.cache.hits, em = rep.cache.misses;
+  const std::uint64_t ah = rep.artifact_hits(), am = rep.artifact_misses();
+  const double skip_pct =
+      ah + am > 0 ? static_cast<double>(ah) / static_cast<double>(ah + am)
+                  : 0.0;
+  std::ostringstream os;
+  os << "{\"n_specs\": " << specs.size() << ", \"n_tasks\": " << rep.n_tasks
+     << ", \"frontier_size\": " << rep.frontier.size()
+     << ", \"wall_ms\": " << json_number(rep.wall_ms)
+     << ", \"eval_cache\": {\"hits\": " << eh << ", \"misses\": " << em
+     << "}, \"artifacts\": {\"hits\": " << ah << ", \"misses\": " << am
+     << ", \"evicted\": " << store_->total_evicted()
+     << "}, \"skip_pct\": " << json_number(skip_pct)
+     << ", \"frontier_json\": \"" << json_escape(dse::sweep_frontier_json(rep))
+     << "\", \"report_json\": \"" << json_escape(dse::sweep_report_json(rep))
+     << "\"}";
+  return os.str();
 }
 
 std::string Server::handle_netmap(const Request& req,
@@ -506,74 +437,49 @@ std::string Server::handle_netmap(const Request& req,
   budget.max_macros = kv_int(kv, "budget_macros", 8);
   budget.max_area_um2 = kv_double(kv, "budget_area_um2", 0.0);
 
-  // Coalesce on everything that shapes the report; the (possibly large)
-  // model/frontier documents enter the key by content hash + length.
-  const std::string key =
-      "netmap|" + std::to_string(budget.max_macros) + "|" +
-      json_number(budget.max_area_um2) + "|m" +
-      std::to_string(dse::fnv1a64(model_text)) + ":" +
-      std::to_string(model_text.size()) + "|f" +
-      std::to_string(dse::fnv1a64(frontier_text)) + ":" +
-      std::to_string(frontier_text.size()) + "|" + kv_key(kv);
-
-  bool leader = false;
-  const std::string payload = flight_.run(
-      key,
-      [&, kv] {
-        obs::metrics().counter("serve.netmap.evaluated").inc();
-        core::DiagEngine diag;
-        const netmap::Model model =
-            netmap::parse_model(model_text, diag, "params.model");
-        if (diag.has_errors()) {
-          throw std::invalid_argument("model: " + diag.summary() + " — " +
-                                      diag.diags().front().message);
-        }
-        std::vector<netmap::MacroCandidate> cands;
-        if (!frontier_text.empty()) {
-          cands = netmap::candidates_from_frontier_json(
-              frontier_text, diag, "params.frontier_json");
-          if (diag.has_errors()) {
-            throw std::invalid_argument("frontier: " + diag.summary() +
-                                        " — " +
-                                        diag.diags().front().message);
-          }
-        } else {
-          const dse::SweepGrid grid = dse::grid_from_kv(kv);
-          dse::SweepOptions sopt;
-          sopt.threads = opt_.sweep_threads;
-          // Candidates only need the frontier points themselves; the
-          // lint annotations never reach the netmap report, so skip the
-          // frontier lint.
-          sopt.lint_frontier = false;
-          sopt.shared_store = store_.get();
-          sopt.cancel = token;
-          const dse::SweepReport rep =
-              dse::run_sweep(lib_, grid.expand(), sopt);
-          if (rep.cancelled) throw core::CancelledError("netmap.sweep");
-          cands = netmap::candidates_from_frontier(rep);
-        }
-        token->check("netmap.map");
-        const netmap::NetmapResult res =
-            netmap::run_netmap(model, cands, budget);
-        std::ostringstream os;
-        os << "{\"layers\": " << res.layers.size()
-           << ", \"candidates\": " << res.candidates.size()
-           << ", \"fleet_macros\": " << res.fleet_macros
-           << ", \"total_time_us\": " << json_number(res.total_time_us)
-           << ", \"total_energy_pj\": " << json_number(res.total_energy_pj)
-           << ", \"utilization\": " << json_number(res.utilization)
-           << ", \"homog_valid\": " << bool_json(res.homog.valid)
-           << ", \"homog_energy_pj\": " << json_number(res.homog.energy_pj)
-           << ", \"report_json\": \""
-           << json_escape(netmap::netmap_report_json(res)) << "\"}";
-        return os.str();
-      },
-      &leader, token);
-  obs::metrics()
-      .counter(leader ? "serve.singleflight.leader"
-                      : "serve.singleflight.coalesced")
-      .inc();
-  return payload;
+  core::DiagEngine diag;
+  const netmap::Model model =
+      netmap::parse_model(model_text, diag, "params.model");
+  if (diag.has_errors()) {
+    throw std::invalid_argument("model: " + diag.summary() + " — " +
+                                diag.diags().front().message);
+  }
+  std::vector<netmap::MacroCandidate> cands;
+  if (!frontier_text.empty()) {
+    cands = netmap::candidates_from_frontier_json(frontier_text, diag,
+                                                  "params.frontier_json");
+    if (diag.has_errors()) {
+      throw std::invalid_argument("frontier: " + diag.summary() + " — " +
+                                  diag.diags().front().message);
+    }
+  } else {
+    const dse::SweepGrid grid = dse::grid_from_kv(std::move(kv));
+    dse::SweepOptions sopt;
+    sopt.threads = opt_.sweep_threads;
+    // Candidates only need the frontier points themselves; the lint
+    // annotations never reach the netmap report, so skip the frontier
+    // lint.
+    sopt.lint_frontier = false;
+    sopt.shared_store = store_.get();
+    sopt.cancel = token;
+    const dse::SweepReport rep = dse::run_sweep(lib_, grid.expand(), sopt);
+    if (rep.cancelled) throw core::CancelledError("netmap.sweep");
+    cands = netmap::candidates_from_frontier(rep);
+  }
+  token->check("netmap.map");
+  const netmap::NetmapResult res = netmap::run_netmap(model, cands, budget);
+  std::ostringstream os;
+  os << "{\"layers\": " << res.layers.size()
+     << ", \"candidates\": " << res.candidates.size()
+     << ", \"fleet_macros\": " << res.fleet_macros
+     << ", \"total_time_us\": " << json_number(res.total_time_us)
+     << ", \"total_energy_pj\": " << json_number(res.total_energy_pj)
+     << ", \"utilization\": " << json_number(res.utilization)
+     << ", \"homog_valid\": " << bool_json(res.homog.valid)
+     << ", \"homog_energy_pj\": " << json_number(res.homog.energy_pj)
+     << ", \"report_json\": \""
+     << json_escape(netmap::netmap_report_json(res)) << "\"}";
+  return os.str();
 }
 
 std::string Server::handle_lint(const Request& req) {

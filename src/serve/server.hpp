@@ -34,7 +34,6 @@
 #include "core/stage.hpp"
 #include "dse/pool.hpp"
 #include "serve/protocol.hpp"
-#include "serve/singleflight.hpp"
 
 namespace syndcim::serve {
 
@@ -162,7 +161,6 @@ class Server {
   ServerOptions opt_;
   std::shared_ptr<core::ArtifactStore> store_;
   std::unique_ptr<core::DiskBlobStore> disk_;
-  SingleFlight flight_;
   std::unique_ptr<dse::WorkStealingPool> pool_;
 
   /// Bounded request queue: try_push fails when full (-> 429).

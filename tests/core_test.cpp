@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cell/characterize.hpp"
 #include "core/baselines.hpp"
@@ -353,6 +356,7 @@ TEST(Power, HotCornerRaisesLeakageOnly) {
 
 // A key the compiler does not act on must throw like any unknown key:
 // accepting temp_c=125 would compile at the nominal 25 C without a word.
+// So must a value that is not wholly the number or name it claims to be.
 TEST(Spec, FromKvRejectsTempCAndUnknownKeys) {
   const PerfSpec ok = core::spec_from_kv({{"rows", "32"}, {"mac_mhz", "300"}});
   EXPECT_EQ(ok.rows, 32);
@@ -362,6 +366,62 @@ TEST(Spec, FromKvRejectsTempCAndUnknownKeys) {
   EXPECT_THROW(
       (void)core::spec_from_kv({{"rows", "32"}, {"no_such_key", "1"}}),
       std::invalid_argument);
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"rows", "99999999999"}, {"rows", "32x"},     {"rows", ""},
+      {"mac_mhz", "1e999"},    {"mac_mhz", "0"},    {"mac_mhz", "nan"},
+      {"wupdate_mhz", "-100"}, {"vdd", "0"},        {"pref_area", "inf"},
+      {"input_bits", "4,x"},   {"bitcell", "7T"},   {"mux", "nand"},
+  };
+  for (const auto& [key, value] : bad) {
+    EXPECT_THROW((void)core::spec_from_kv({{key, value}}),
+                 std::invalid_argument)
+        << key << "=" << value;
+  }
+}
+
+// The number parsers take the whole string, and their error names the
+// key and the value so a served 400 or a CLI `error:` says what was wrong.
+TEST(Spec, NumberParsersTakeTheWholeStringAndNameTheKey) {
+  EXPECT_EQ(core::parse_int("rows", "64"), 64);
+  EXPECT_EQ(core::parse_int("rows", "-3"), -3);
+  EXPECT_EQ(core::parse_int<std::size_t>("budget", "4096"), 4096u);
+  EXPECT_EQ(core::parse_number("mac_mhz", "350"), 350.0);
+  EXPECT_EQ(core::parse_number("pref_area", "0.25"), 0.25);
+  EXPECT_EQ(core::parse_number("pref_area", "0"), 0.0);
+  EXPECT_EQ(core::parse_number("pref_area", "-1.5"), -1.5);
+  EXPECT_EQ(core::parse_int_list("input_bits", "4,8"),
+            (std::vector<int>{4, 8}));
+  EXPECT_EQ(core::parse_int_list("input_bits", "2"), (std::vector<int>{2}));
+
+  EXPECT_THROW((void)core::parse_int("rows", " 32"), std::invalid_argument);
+  EXPECT_THROW((void)core::parse_int("rows", "32.0"), std::invalid_argument);
+  EXPECT_THROW((void)core::parse_int<std::size_t>("budget", "-1"),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::parse_number("mac_mhz", "350MHz"),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::parse_number("mac_mhz", "-inf"),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::parse_number("vdd", "-0.9", /*positive=*/true),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::parse_int_list("input_bits", "4,,8"),
+               std::invalid_argument);
+
+  try {
+    (void)core::parse_int("rows", "99999999999");
+    ADD_FAILURE() << "an int out of range parsed";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("rows"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("99999999999"), std::string::npos) << msg;
+  }
+  try {
+    (void)core::parse_number("mac_mhz", "0", /*positive=*/true);
+    ADD_FAILURE() << "a zero clock parsed";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("mac_mhz"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'0'"), std::string::npos) << msg;
+  }
 }
 
 }  // namespace

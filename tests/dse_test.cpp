@@ -2,22 +2,26 @@
 // evaluates through: config/spec hashing, evaluation-cache accounting,
 // ArtifactCache in-flight deduplication (also through StagePipeline and
 // gen_macro), concurrent SubcircuitLibrary evaluation, the work-stealing
-// pool, and search/sweep reproducibility across runs and thread counts.
+// pool, sweep-grid parsing, and search/sweep reproducibility across runs
+// and thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cell/characterize.hpp"
 #include "core/artifact_cache.hpp"
 #include "core/compiler.hpp"
 #include "core/searcher.hpp"
+#include "core/spec.hpp"
 #include "core/stage.hpp"
 #include "dse/eval_cache.hpp"
 #include "dse/pool.hpp"
@@ -190,8 +194,8 @@ TEST(ConfigHash, SpecKnobsCoverTimingButNotPreference) {
 }
 
 TEST(ConfigHash, Fnv1a64KeepsItsHistoricalBasis) {
-  // Frontier point ids and serve's netmap keys are built on this exact
-  // output, whose basis is not the standard FNV-1a one.
+  // Frontier point ids are built on this exact output, whose basis is
+  // not the standard FNV-1a one.
   const std::string key = "cfg{r64,c64}";
   EXPECT_EQ(dse::fnv1a64(key), 0xf61139eb0648f50eULL);
   EXPECT_EQ(core::artifact_fnv1a64(key.data(), key.size()),
@@ -387,6 +391,42 @@ TEST(ArtifactTierClaim, StagePipelineWaitsForAClaimedKey) {
   EXPECT_TRUE(pipe.records()[0].skipped) << "a waited-for result is a skip";
 }
 
+// A wait on another caller's claim is the store's dedup count: the served
+// `metrics` reply reads it from stats_json and the published gauges.
+TEST(ArtifactTierClaim, StoreExportsInflightWaits) {
+  core::ArtifactStore store;
+  std::thread claimant([&] {
+    (void)store.lints.get_or_compute("k", [&] {
+      await_waiters(store.lints, 1);
+      return core::LintArtifact{};
+    });
+  });
+  await_claim(store.lints);
+  (void)store.lints.get_or_compute("k", [] { return core::LintArtifact{}; });
+  claimant.join();
+
+  EXPECT_NE(store.stats_json().find(
+                "{\"name\": \"lints\", \"hits\": 1, \"misses\": 1, "
+                "\"entries\": 1, \"evicted\": 0, \"inflight_waits\": 1,"),
+            std::string::npos)
+      << store.stats_json();
+  EXPECT_NE(store.stats_json().find(
+                "{\"name\": \"slices\", \"hits\": 0, \"misses\": 0, "
+                "\"entries\": 0, \"evicted\": 0, \"inflight_waits\": 0,"),
+            std::string::npos)
+      << store.stats_json();
+
+  obs::metrics().clear();
+  obs::set_enabled(true);
+  store.publish_metrics("test_store");
+  obs::set_enabled(false);
+  EXPECT_EQ(obs::metrics().gauge("test_store.lints.inflight_waits").value(),
+            1.0);
+  EXPECT_EQ(obs::metrics().gauge("test_store.slices.inflight_waits").value(),
+            0.0);
+  obs::metrics().clear();
+}
+
 TEST(ArtifactTierClaim, GenMacroWaitsForAClaimedModule) {
   const rtlgen::MacroConfig cfg = small_spec().base_config();
   const rtlgen::MacroDesign want = rtlgen::gen_macro(cfg);
@@ -541,6 +581,51 @@ TEST(SearchDeterminism, TrajectoryFragmentsReproduceSearch) {
   stitched.pareto = core::pareto_front(stitched.explored);
   expect_same_points(whole.explored, stitched.explored);
   expect_same_points(whole.pareto, stitched.pareto);
+}
+
+// The sweep lists go through the spec vocabulary's number parser: the
+// reference grid parses to the specs a hand-built grid expands to, and an
+// item that is not wholly a number is a std::invalid_argument.
+TEST(SweepGrid, FromKvParsesListsWhole) {
+  const dse::SweepGrid parsed = dse::grid_from_kv(
+      {{"rows", "64"},
+       {"cols", "64"},
+       {"input_bits", "4,8"},
+       {"weight_bits", "4,8"},
+       {"sweep_mac_mhz", "250,350,450"},
+       {"sweep_mcr", "1,2"},
+       {"sweep_bits", "4;8"},
+       {"sweep_pref", "balanced,power"}});
+  dse::SweepGrid want;
+  want.base.rows = 64;
+  want.base.cols = 64;
+  want.base.input_bits = {4, 8};
+  want.base.weight_bits = {4, 8};
+  want.mac_freqs_mhz = {250.0, 350.0, 450.0};
+  want.mcrs = {1, 2};
+  want.precisions = {{4}, {8}};
+  want.prefs = {core::named_pref("balanced"), core::named_pref("power")};
+  const std::vector<core::PerfSpec> got_specs = parsed.expand();
+  const std::vector<core::PerfSpec> want_specs = want.expand();
+  ASSERT_EQ(got_specs.size(), 24u);
+  ASSERT_EQ(got_specs.size(), want_specs.size());
+  for (std::size_t i = 0; i < got_specs.size(); ++i) {
+    EXPECT_EQ(core::spec_full_key(got_specs[i]),
+              core::spec_full_key(want_specs[i]))
+        << "spec " << i;
+  }
+
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"sweep_mac_mhz", "250,1e999"}, {"sweep_mac_mhz", "250,0"},
+      {"sweep_mac_mhz", "250MHz"},    {"sweep_mcr", "1x"},
+      {"sweep_mcr", "1,,2"},          {"sweep_bits", "4;8x"},
+      {"mac_mhz", "-350"},
+  };
+  for (const auto& [key, value] : bad) {
+    EXPECT_THROW((void)dse::grid_from_kv({{key, value}}),
+                 std::invalid_argument)
+        << key << "=" << value;
+  }
 }
 
 TEST(SweepDeterminism, ThreadCountDoesNotChangeTheFrontier) {

@@ -1,10 +1,10 @@
 // Tests of the src/serve subsystem: the wire-protocol JSON, cooperative
-// cancellation, single-flight batching, bounded LRU artifact caching,
-// and a live in-process daemon driven over real TCP connections —
-// mixed-tenant load, cross-request artifact warm hits, deadline
-// cancellation, admission-control rejects, graceful drain, request-line
-// framing, and byte-identity of a served sweep frontier against the
-// batch path.
+// cancellation, bounded LRU artifact caching, and a live in-process
+// daemon driven over real TCP connections — mixed-tenant load,
+// cross-request artifact warm hits, concurrent identical requests
+// sharing work through the tier claims, deadline cancellation,
+// admission-control rejects, graceful drain, request-line framing, and
+// byte-identity of a served sweep frontier against the batch path.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -21,6 +21,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cell/characterize.hpp"
@@ -33,11 +34,9 @@
 #include "netlist/verilog_parser.hpp"
 #include "netmap/model.hpp"
 #include "netmap/netmap.hpp"
-#include "obs/obs.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
-#include "serve/singleflight.hpp"
 #include "tech/tech_node.hpp"
 
 using namespace syndcim;
@@ -74,10 +73,6 @@ serve::ClientResponse call(int port, const std::string& method,
   serve::ClientResponse resp;
   EXPECT_TRUE(client.call(method, params, deadline_ms, &resp, &err)) << err;
   return resp;
-}
-
-std::uint64_t counter_value(const std::string& name) {
-  return obs::metrics().counter(name).value();
 }
 
 /// A bare TCP connection, for framing tests the line-oriented Client
@@ -255,88 +250,6 @@ TEST(CancelToken, FlagAndDeadline) {
   EXPECT_TRUE(tok.cancelled());
   tok.clear_deadline();
   EXPECT_FALSE(tok.cancelled());
-}
-
-// ---------------------------------------------------------------------------
-// SingleFlight
-// ---------------------------------------------------------------------------
-
-TEST(SingleFlight, CoalescesConcurrentCalls) {
-  serve::SingleFlight flight;
-  std::atomic<int> executions{0};
-  std::atomic<int> started{0};
-  constexpr int kCallers = 6;
-  std::vector<std::thread> threads;
-  std::vector<std::string> results(kCallers);
-  std::vector<char> leaders(kCallers, 0);  // not vector<bool>: bit-packed
-  for (int i = 0; i < kCallers; ++i) {
-    threads.emplace_back([&, i] {
-      started.fetch_add(1);
-      while (started.load() < kCallers) std::this_thread::yield();
-      bool leader = false;
-      results[static_cast<std::size_t>(i)] = flight.run(
-          "key",
-          [&] {
-            executions.fetch_add(1);
-            std::this_thread::sleep_for(std::chrono::milliseconds(100));
-            return std::string("payload");
-          },
-          &leader);
-      leaders[static_cast<std::size_t>(i)] = leader;
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(executions.load(), 1);
-  int leader_count = 0;
-  for (int i = 0; i < kCallers; ++i) {
-    EXPECT_EQ(results[static_cast<std::size_t>(i)], "payload");
-    leader_count += leaders[static_cast<std::size_t>(i)] ? 1 : 0;
-  }
-  EXPECT_EQ(leader_count, 1);
-}
-
-TEST(SingleFlight, SequentialCallsEachExecute) {
-  serve::SingleFlight flight;
-  int executions = 0;
-  bool leader = false;
-  for (int i = 0; i < 3; ++i) {
-    const std::string r = flight.run(
-        "key",
-        [&] {
-          ++executions;
-          return std::string("r") + std::to_string(executions);
-        },
-        &leader);
-    EXPECT_TRUE(leader);
-    EXPECT_EQ(r, "r" + std::to_string(i + 1));
-  }
-  EXPECT_EQ(executions, 3);
-}
-
-TEST(SingleFlight, PropagatesLeaderFailure) {
-  serve::SingleFlight flight;
-  std::atomic<bool> leader_entered{false};
-  std::thread leader([&] {
-    bool was_leader = false;
-    EXPECT_THROW(flight.run(
-                     "key",
-                     [&]() -> std::string {
-                       leader_entered.store(true);
-                       std::this_thread::sleep_for(
-                           std::chrono::milliseconds(100));
-                       throw std::runtime_error("boom");
-                     },
-                     &was_leader),
-                 std::runtime_error);
-  });
-  while (!leader_entered.load()) std::this_thread::yield();
-  bool was_leader = true;
-  EXPECT_THROW(
-      flight.run(
-          "key", [] { return std::string("never"); }, &was_leader),
-      std::runtime_error);
-  EXPECT_FALSE(was_leader);
-  leader.join();
 }
 
 // ---------------------------------------------------------------------------
@@ -623,19 +536,37 @@ TEST(ServeDaemon, RestartOnStoreDirAnswersWarmFromL2) {
   server->drain();
 }
 
-TEST(ServeDaemon, ConcurrentIdenticalCompilesSingleFlight) {
-  serve::ServerOptions opt;
-  opt.workers = 4;  // all K requests must be in flight simultaneously
-  auto server = start_server(opt);
-  const std::uint64_t evaluated0 = counter_value("serve.compile.evaluated");
-  const std::uint64_t leader0 = counter_value("serve.singleflight.leader");
-  const std::uint64_t coalesced0 =
-      counter_value("serve.singleflight.coalesced");
+std::map<std::string, std::uint64_t> tier_misses(serve::Server& server) {
+  std::map<std::string, std::uint64_t> out;
+  for (const core::ArtifactTierStats& t : server.store().stats()) {
+    out[t.name] = t.misses;
+  }
+  return out;
+}
 
-  constexpr int kClients = 4;
+// K tenants sending the same cold compile at once share work through the
+// artifact tiers alone: the first caller of each key computes it and the
+// others wait for that result, so the burst computes exactly what one
+// request computes, and every reply carries the same Pareto set.
+TEST(ServeDaemon, ConcurrentIdenticalCompilesComputeEachArtifactOnce) {
   const std::map<std::string, std::string> params = {
       {"search_only", "true"}, {"rows", "128"}, {"cols", "64"},
       {"mac_mhz", "350"}};
+
+  auto single = start_server();
+  const serve::ClientResponse one = call(single->port(), "compile", params);
+  ASSERT_TRUE(one.ok) << one.raw;
+  const std::map<std::string, std::uint64_t> one_misses =
+      tier_misses(*single);
+  single->drain();
+  for (const char* tier : {"slices", "modules", "blocks", "activity"}) {
+    EXPECT_GT(one_misses.at(tier), 0u) << tier;
+  }
+
+  serve::ServerOptions opt;
+  opt.workers = 4;  // all K requests must be in flight simultaneously
+  auto server = start_server(opt);
+  constexpr int kClients = 4;
   std::atomic<int> ready{0};
   std::vector<std::thread> threads;
   std::vector<serve::ClientResponse> resps(kClients);
@@ -652,14 +583,63 @@ TEST(ServeDaemon, ConcurrentIdenticalCompilesSingleFlight) {
     });
   }
   for (std::thread& t : threads) t.join();
+  const std::string pareto = one.result.find("pareto")->dump();
   for (const serve::ClientResponse& r : resps) {
     ASSERT_TRUE(r.ok) << r.raw;
     EXPECT_TRUE(r.result.find("feasible")->as_bool());
+    EXPECT_EQ(r.result.find("pareto")->dump(), pareto);
   }
-  EXPECT_EQ(counter_value("serve.compile.evaluated") - evaluated0, 1u);
-  EXPECT_EQ(counter_value("serve.singleflight.leader") - leader0, 1u);
-  EXPECT_EQ(counter_value("serve.singleflight.coalesced") - coalesced0,
-            static_cast<std::uint64_t>(kClients - 1));
+  EXPECT_EQ(tier_misses(*server), one_misses);
+  server->drain();
+}
+
+/// A cold 12-spec grid that runs well past 300 ms.
+std::map<std::string, std::string> slow_sweep_params() {
+  return {{"rows", "64"},
+          {"cols", "64"},
+          {"sweep_mac_mhz", "250,350,450"},
+          {"sweep_mcr", "1,2"},
+          {"sweep_bits", "4;8"}};
+}
+
+// A request identical to one already running is still its own request:
+// the first one's deadline expiring does not cancel it.
+TEST(ServeDaemon, JoinerKeepsItsOwnDeadline) {
+  auto server = start_server();
+  serve::ClientResponse first;
+  std::thread t([&] {
+    first = call(server->port(), "sweep", slow_sweep_params(),
+                 /*deadline_ms=*/300);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const serve::ClientResponse second =
+      call(server->port(), "sweep", slow_sweep_params());
+  t.join();
+  EXPECT_FALSE(first.ok);
+  EXPECT_EQ(first.code, serve::kErrDeadline) << first.raw;
+  ASSERT_TRUE(second.ok) << second.raw;
+  const dse::SweepReport rep = dse::run_sweep(
+      test_library(), dse::grid_from_kv(slow_sweep_params()).expand(), {});
+  EXPECT_EQ(second.result.find("frontier_json")->as_string(),
+            dse::sweep_frontier_json(rep));
+  server->drain();
+}
+
+// Two identical requests that fail on their input both get the 400 that
+// input deserves; neither sees the other's failure as a 500.
+TEST(ServeDaemon, IdenticalFailingRequestsAllGet400) {
+  auto server = start_server();
+  // Below the threshold voltage: the TechNode throws once the first
+  // slice is characterized, tens of milliseconds in.
+  std::map<std::string, std::string> params = slow_sweep_params();
+  params["vdd"] = "0.1";
+  serve::ClientResponse first;
+  std::thread t([&] { first = call(server->port(), "sweep", params); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const serve::ClientResponse second = call(server->port(), "sweep", params);
+  t.join();
+  EXPECT_EQ(first.code, serve::kErrBadRequest) << first.raw;
+  EXPECT_EQ(second.code, serve::kErrBadRequest) << second.raw;
   server->drain();
 }
 
@@ -712,7 +692,7 @@ TEST(ServeDaemon, AdmissionControlRejectsWith429) {
       if (!client.connect("127.0.0.1", server->port(), &err)) return;
       ready.fetch_add(1);
       while (ready.load() < kClients) std::this_thread::yield();
-      // Distinct grids, so single-flight cannot coalesce them.
+      // Distinct grids, so no request finds another's work in the store.
       const std::map<std::string, std::string> params = {
           {"rows", "32"},
           {"cols", "32"},
@@ -852,7 +832,8 @@ TEST(ServeDaemon, NetmapMatchesBatchByteForByte) {
 // `threads` is not a request param: --sweep-threads alone sets how many
 // threads a served sweep or netmap starts. A request naming it is a 400
 // (an unknown spec key) before any worker thread starts, and the daemon
-// keeps answering.
+// keeps answering. So are the other keys outside the request vocabulary
+// and numbers that do not parse.
 TEST(ServeDaemon, ThreadsAboveSweepThreadsIsA400) {
   serve::ServerOptions opt;
   opt.sweep_threads = 2;
@@ -872,6 +853,24 @@ TEST(ServeDaemon, ThreadsAboveSweepThreadsIsA400) {
       << err;
   EXPECT_FALSE(netmap.ok);
   EXPECT_EQ(netmap.code, serve::kErrBadRequest) << netmap.raw;
+
+  std::map<std::string, std::string> lint_frontier = small_sweep_params();
+  lint_frontier["lint_frontier"] = "false";
+  const std::vector<
+      std::pair<std::string, std::map<std::string, std::string>>>
+      rejected = {
+          {"compile",
+           {{"rows", "32"}, {"cols", "32"}, {"mac_mhz", "300"},
+            {"sim_lanes", "4"}}},
+          {"sweep", lint_frontier},
+          {"compile", {{"search_only", "true"}, {"rows", "99999999999"}}},
+          {"sweep", {{"rows", "32"}, {"sweep_mac_mhz", "250,1e999"}}},
+      };
+  for (const auto& [method, bad] : rejected) {
+    const serve::ClientResponse resp = call(server->port(), method, bad);
+    EXPECT_FALSE(resp.ok);
+    EXPECT_EQ(resp.code, serve::kErrBadRequest) << method << ": " << resp.raw;
+  }
 
   const serve::ClientResponse status = call(server->port(), "status", {});
   EXPECT_TRUE(status.ok) << status.raw;

@@ -42,7 +42,6 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "cell/characterize.hpp"
@@ -309,13 +308,7 @@ int run_sweep_command(const Args& args) {
     } else if (a == "--spec" && i + 1 < args.size()) {
       read_spec_file(args[++i], kv);
     } else if (a == "--threads" && i + 1 < args.size()) {
-      try {
-        opt.threads = std::stoi(args[++i]);
-      } catch (const std::exception&) {
-        std::cerr << "error: --threads wants an integer, got '" << args[i]
-                  << "'\n";
-        return 2;
-      }
+      opt.threads = core::parse_int(a, args[++i]);
     } else if (a == "--no-artifact-cache") {
       opt.use_artifact_cache = false;
     } else if (a == "--json" && i + 1 < args.size()) {
@@ -476,21 +469,6 @@ int run_netmap_command(const Args& args) {
   std::string model_path, frontier_path, json_path;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    auto int_arg = [&](const char* name, auto* out) -> bool {
-      if (i + 1 >= args.size()) {
-        std::cerr << "error: " << name << " wants a value\n";
-        return false;
-      }
-      try {
-        *out = static_cast<std::remove_pointer_t<decltype(out)>>(
-            std::stod(args[++i]));
-      } catch (const std::exception&) {
-        std::cerr << "error: " << name << " wants a number, got '" << args[i]
-                  << "'\n";
-        return false;
-      }
-      return true;
-    };
     if (a == "--help" || a == "-h") {
       usage_netmap(std::cout);
       return 0;
@@ -498,12 +476,12 @@ int run_netmap_command(const Args& args) {
       model_path = args[++i];
     } else if (a == "--frontier-json" && i + 1 < args.size()) {
       frontier_path = args[++i];
-    } else if (a == "--budget-macros") {
-      if (!int_arg("--budget-macros", &budget.max_macros)) return 2;
-    } else if (a == "--budget-area") {
-      if (!int_arg("--budget-area", &budget.max_area_um2)) return 2;
-    } else if (a == "--threads") {
-      if (!int_arg("--threads", &sopt.threads)) return 2;
+    } else if (a == "--budget-macros" && i + 1 < args.size()) {
+      budget.max_macros = core::parse_int(a, args[++i]);
+    } else if (a == "--budget-area" && i + 1 < args.size()) {
+      budget.max_area_um2 = core::parse_number(a, args[++i]);
+    } else if (a == "--threads" && i + 1 < args.size()) {
+      sopt.threads = core::parse_int(a, args[++i]);
     } else if (a == "--spec" && i + 1 < args.size()) {
       try {
         read_spec_file(args[++i], kv);
@@ -740,11 +718,7 @@ int run_compile_command(const Args& args) {
     } else if (a == "--search-only") {
       search_only = true;
     } else if (a == "--sim-lanes" && i + 1 < args.size()) {
-      try {
-        sim_lanes = std::stoi(args[++i]);
-      } catch (...) {
-        sim_lanes = 0;
-      }
+      sim_lanes = core::parse_int(a, args[++i]);
       if (sim_lanes < 1 || sim_lanes > 64) {
         std::cerr << "error: --sim-lanes wants an integer in [1, 64], got '"
                   << args[i] << "'\n";
@@ -836,55 +810,29 @@ int run_serve_command(const Args& args, const std::string& trace_path,
   sopt.metrics_path = metrics_path;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    auto int_arg = [&](const char* name, auto* out) -> bool {
-      if (i + 1 >= args.size()) {
-        std::cerr << "error: " << name << " wants a value\n";
-        return false;
-      }
-      try {
-        *out = static_cast<std::remove_pointer_t<decltype(out)>>(
-            std::stoll(args[++i]));
-      } catch (const std::exception&) {
-        std::cerr << "error: " << name << " wants an integer, got '"
-                  << args[i] << "'\n";
-        return false;
-      }
-      return true;
-    };
     if (a == "--help" || a == "-h") {
       usage_serve(std::cout);
       return 0;
-    } else if (a == "--port") {
-      if (!int_arg("--port", &sopt.port)) return 2;
+    } else if (a == "--port" && i + 1 < args.size()) {
+      sopt.port = core::parse_int(a, args[++i]);
     } else if (a == "--host" && i + 1 < args.size()) {
       sopt.host = args[++i];
-    } else if (a == "--workers") {
-      if (!int_arg("--workers", &sopt.workers)) return 2;
-    } else if (a == "--queue-cap") {
-      if (!int_arg("--queue-cap", &sopt.queue_capacity)) return 2;
-    } else if (a == "--sweep-threads") {
-      if (!int_arg("--sweep-threads", &sopt.sweep_threads)) return 2;
-    } else if (a == "--max-conn") {
-      if (!int_arg("--max-conn", &sopt.max_connections)) return 2;
-    } else if (a == "--cache-cap-entries") {
-      if (!int_arg("--cache-cap-entries", &sopt.artifact_max_entries)) {
-        return 2;
-      }
-    } else if (a == "--cache-cap-bytes") {
-      if (!int_arg("--cache-cap-bytes", &sopt.artifact_max_bytes)) return 2;
+    } else if (a == "--workers" && i + 1 < args.size()) {
+      sopt.workers = core::parse_int(a, args[++i]);
+    } else if (a == "--queue-cap" && i + 1 < args.size()) {
+      sopt.queue_capacity = core::parse_int(a, args[++i]);
+    } else if (a == "--sweep-threads" && i + 1 < args.size()) {
+      sopt.sweep_threads = core::parse_int(a, args[++i]);
+    } else if (a == "--max-conn" && i + 1 < args.size()) {
+      sopt.max_connections = core::parse_int(a, args[++i]);
+    } else if (a == "--cache-cap-entries" && i + 1 < args.size()) {
+      sopt.artifact_max_entries = core::parse_int<std::size_t>(a, args[++i]);
+    } else if (a == "--cache-cap-bytes" && i + 1 < args.size()) {
+      sopt.artifact_max_bytes = core::parse_int<std::size_t>(a, args[++i]);
     } else if (a == "--store-dir" && i + 1 < args.size()) {
       sopt.store_dir = args[++i];
-    } else if (a == "--deadline-ms") {
-      if (i + 1 >= args.size()) {
-        std::cerr << "error: --deadline-ms wants a value\n";
-        return 2;
-      }
-      try {
-        sopt.default_deadline_ms = std::stod(args[++i]);
-      } catch (const std::exception&) {
-        std::cerr << "error: --deadline-ms wants a number\n";
-        return 2;
-      }
+    } else if (a == "--deadline-ms" && i + 1 < args.size()) {
+      sopt.default_deadline_ms = core::parse_number(a, args[++i]);
     } else {
       std::cerr << "unknown serve argument: " << a << "\n";
       usage_serve(std::cerr);

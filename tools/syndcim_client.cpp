@@ -20,7 +20,8 @@
 //                       byte-for-byte (e.g. a netmap's report_json —
 //                       identical to the batch CLI's --json output)
 //   --concurrent K      pipeline K copies of the request on ONE
-//                       connection (single-flight demo); prints K lines
+//                       connection (the daemon computes each artifact
+//                       they share once); prints K lines
 //   --batch FILE        pipeline one request per line of FILE on ONE
 //                       connection; a line is `method key=value ...`
 //                       where `key@=FILE` loads the value from FILE
