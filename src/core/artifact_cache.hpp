@@ -121,9 +121,9 @@ struct ArtifactTierStats {
 /// key wait for its result, so a tier's hits, misses and entries do not
 /// depend on how callers are scheduled. A compute may look up keys of
 /// other tiers, never of its own, and the tiers nest acyclically
-/// (slices -> modules/blocks/activity, lints -> modules/flats -> blocks,
-/// powers -> act_models): a claim only ever waits on claims further down
-/// that order, which is what keeps waiting deadlock-free.
+/// (slices -> modules/activity, lints -> modules/flats, powers ->
+/// act_models): a claim only ever waits on claims further down that
+/// order, which is what keeps waiting deadlock-free.
 ///
 /// Unbounded by default (the batch CLI dies before growth matters); a
 /// long-running daemon calls `set_capacity` to bound the tier, after

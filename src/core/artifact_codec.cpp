@@ -251,9 +251,6 @@ struct Codec {
 Codec<netlist::Module> codec(std::type_identity<netlist::Module>) {
   return {netlist::encode_module, netlist::decode_module};
 }
-Codec<netlist::FlatBlock> codec(std::type_identity<netlist::FlatBlock>) {
-  return {netlist::encode_flat_block, netlist::decode_flat_block};
-}
 Codec<netlist::FlatNetlist> codec(std::type_identity<netlist::FlatNetlist>) {
   return {netlist::encode_flat_netlist, netlist::decode_flat_netlist};
 }

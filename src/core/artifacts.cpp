@@ -29,6 +29,9 @@ std::vector<std::string> write_artifacts(const CompileResult& result,
                                          const PerfSpec& spec,
                                          const cell::Library& lib,
                                          const std::string& dir) {
+  if (!result.impl.flat) {
+    throw std::invalid_argument("write_artifacts: result has no netlist");
+  }
   std::filesystem::create_directories(dir);
   std::vector<std::string> written;
   const auto& macro = result.impl.macro;
@@ -50,7 +53,7 @@ std::vector<std::string> write_artifacts(const CompileResult& result,
     sta::write_sdc(opt, os);
     written.push_back(p);
   }
-  const netlist::FlatNetlist flat = netlist::flatten(macro.design, macro.top);
+  const netlist::FlatNetlist& flat = *result.impl.flat;
   {
     const std::string p = dir + "/sdp_place.tcl";
     auto os = open_out(p);

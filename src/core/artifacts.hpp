@@ -19,7 +19,10 @@ namespace syndcim::core {
 ///                    precision modes, latency, PPA by subsystem)
 ///   report.txt       search trail, selected point, signoff summary
 ///
-/// Returns the list of file paths written. Throws on I/O failure.
+/// `result` comes from SynDcimCompiler::compile: the DEF and the TCL are
+/// written from `result.impl.flat`, the netlist the floorplan placed; a
+/// result without one throws std::invalid_argument before any file is
+/// written. Returns the list of file paths written. Throws on I/O failure.
 std::vector<std::string> write_artifacts(const CompileResult& result,
                                          const PerfSpec& spec,
                                          const cell::Library& lib,

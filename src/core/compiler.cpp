@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 
-#include "netlist/stitch.hpp"
+#include "netlist/flatten.hpp"
 #include "num/int_ops.hpp"
 #include "rtlgen/content_key.hpp"
 #include "sim/macro_tb.hpp"
@@ -107,16 +108,14 @@ void drive_workload(sim::MacroTestbench& tb, sim::DcimMacroModel& model,
   }
 }
 
-/// implement()'s `map` stage: stitches the macro's pre-flattened
-/// subcircuit blocks into one flat netlist, kept in `flats` under the
-/// configuration key alone (netlist structure is library-independent).
+/// implement()'s `map` stage: flattens the macro into one gate-level
+/// netlist, kept in `flats` under the configuration key alone (netlist
+/// structure is library-independent).
 std::shared_ptr<const netlist::FlatNetlist> run_map(
     StagePipeline& pipe, ArtifactStore& as, const std::string& ckey,
     const rtlgen::MacroDesign& macro) {
-  return pipe.run("map", &as.flats, "flatm1|" + ckey, [&] {
-    return std::move(
-        netlist::stitch_flatten(macro.design, macro.top, &as.blocks).nl);
-  });
+  return pipe.run("map", &as.flats, "flatm1|" + ckey,
+                  [&] { return netlist::flatten(macro.design, macro.top); });
 }
 
 /// Key of implement()'s `lint` stage: the configuration key and the
@@ -187,6 +186,7 @@ Implementation SynDcimCompiler::implement(const rtlgen::MacroConfig& cfg,
   impl.macro = *macro;
 
   const auto flat = run_map(pipe, as, ckey, impl.macro);
+  impl.flat = flat;
 
   // Static netlist checks before any physical or timing work: an
   // error-severity finding means the netlist itself is broken and every
@@ -261,7 +261,7 @@ Implementation SynDcimCompiler::implement(const rtlgen::MacroConfig& cfg,
               wl.weight_bits =
                   std::min(wl.weight_bits, cfg.max_weight_bits());
               wl.lanes = std::clamp(wl.lanes, 1, 64);
-              sim::MacroTestbench tb(impl.macro, lib_, wl.lanes);
+              sim::MacroTestbench tb(impl.macro, flat, lib_, wl.lanes);
               sim::DcimMacroModel model(cfg);
               drive_workload(tb, model, wl);
               obs::metrics().counter("sim.gate_evals")
@@ -320,7 +320,12 @@ CompileResult SynDcimCompiler::compile(const PerfSpec& spec,
                                       spec.pref.performance);
             });
   if (order.empty()) {
-    throw std::logic_error("SynDcimCompiler::compile: spec infeasible");
+    std::ostringstream os;
+    os << "spec infeasible: no design point meets rows=" << spec.rows
+       << " cols=" << spec.cols << " mcr=" << spec.mcr
+       << " mac_mhz=" << spec.mac_freq_mhz
+       << " wupdate_mhz=" << spec.wupdate_freq_mhz << " vdd=" << spec.vdd;
+    throw InfeasibleSpecError(os.str());
   }
   for (const DesignPoint* p : order) {
     if (cancel != nullptr) cancel->check("compile.implement");

@@ -1,7 +1,7 @@
 #pragma once
 #include <memory>
+#include <stdexcept>
 #include <string>
-
 #include <vector>
 
 #include "cell/library.hpp"
@@ -38,6 +38,9 @@ struct Workload {
 /// "synthesis + APR + DRC/LVS + post-layout simulation" stage).
 struct Implementation {
   rtlgen::MacroDesign macro;
+  /// `macro` flattened once, by the `map` stage: placement, signoff, the
+  /// power simulation and write_artifacts all read this netlist.
+  std::shared_ptr<const netlist::FlatNetlist> flat;
   layout::Floorplan floorplan;
   lint::LintSummary lint;        ///< netlist static checks (pre-signoff)
   DiagEngine diagnostics;        ///< lint/STA/floorplan findings
@@ -76,6 +79,15 @@ struct CompileResult {
   Implementation impl;
 };
 
+/// SynDcimCompiler::compile's error when the search finds no design point
+/// for the spec. The message names the spec. It is the caller's error:
+/// the daemon answers 400 (as for any std::invalid_argument) and the CLI
+/// exits 1.
+class InfeasibleSpecError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
 /// Lints `cfg` through implement()'s `lint` stage, under implement()'s
 /// keys and phase names: only a `lints` miss elaborates the macro and
 /// runs the `map` stage, so a configuration that an earlier sweep, served
@@ -108,7 +120,8 @@ class SynDcimCompiler {
                   std::shared_ptr<ArtifactStore> store)
       : lib_(lib), scl_(lib, std::move(store)), searcher_(scl_) {}
 
-  /// Full flow at the spec's PPA preference. `cancel` (optional) is
+  /// Full flow at the spec's PPA preference; throws InfeasibleSpecError
+  /// when no design point meets the spec. `cancel` (optional) is
   /// polled cooperatively — between search and each implementation
   /// attempt, and at every stage boundary inside implement() — and
   /// unwinds the flow with CancelledError when tripped; partial state is

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "layout/floorplan.hpp"
-#include "netlist/stitch.hpp"
+#include "netlist/flatten.hpp"
 #include "obs/obs.hpp"
 #include "power/power.hpp"
 #include "rtlgen/content_key.hpp"
@@ -55,15 +55,14 @@ SliceEval SubcircuitLibrary::characterize(const MacroConfig& cfg) const {
 
   // The stages below have no tier of their own: every input they read is
   // covered by the slice key, so the `slices` tier is their one memo.
-  // Reuse inside a characterization comes from the module, block and
-  // per-cone activity tiers the generator, stitcher and propagation
-  // consult. Each stage keeps its `scl.slice.<stage>` span.
+  // Reuse inside a characterization comes from the module and per-cone
+  // activity tiers the generator and propagation consult. Each stage
+  // keeps its `scl.slice.<stage>` span.
   ArtifactStore& as = *store_;
   const netlist::FlatNetlist flat = [&] {
     OBS_SPAN("scl.slice.flatten");
     const rtlgen::MacroDesign md = rtlgen::gen_macro(sc, &as.modules);
-    return std::move(
-        netlist::stitch_flatten(md.design, md.top, &as.blocks).nl);
+    return netlist::flatten(md.design, md.top);
   }();
 
   SliceEval ev;

@@ -34,13 +34,13 @@ struct EvalOutcome {
 
 /// The SynDCIM Subcircuit Library (SCL).
 ///
-/// Characterization runs the slice stages (gen+stitch -> floorplan ->
+/// Characterization runs the slice stages (gen+flatten -> floorplan ->
 /// route -> sta -> activity -> power) and lands the composed SliceEval in
 /// the store's `slices` tier, the stages' one memo. Because the slice
 /// content key normalizes the column count, every configuration
 /// differing only in `cols` shares one characterization. A one-knob
-/// delta that misses `slices` still reuses the subcircuit modules, the
-/// stitched blocks and the per-cone activity its knob did not touch.
+/// delta that misses `slices` still reuses the subcircuit modules and
+/// the per-cone activity its knob did not touch.
 ///
 /// The library holds no state besides its store, and the store's tiers
 /// are thread-safe with in-flight deduplication, so any number of

@@ -11,7 +11,7 @@
 #include "core/diag.hpp"
 #include "layout/floorplan.hpp"
 #include "lint/lint.hpp"
-#include "netlist/stitch.hpp"
+#include "netlist/flatten.hpp"
 #include "obs/obs.hpp"
 #include "power/activity.hpp"
 #include "power/power.hpp"
@@ -99,18 +99,18 @@ void replay_diags(const std::vector<Diagnostic>& diags, DiagEngine& sink);
 /// The subcircuit-artifact cache, shared across configurations, specs,
 /// sweep worker threads and serve requests: one content-addressed tier
 /// per implement() stage output, the slice characterizations the search
-/// prices candidates from, and the module, block and per-cone activity
-/// tiers both build on. It is the compiler's only memo layer, and each
-/// result lives in exactly one tier. A repeated slice is one `slices`
-/// hit. The slice stages have no tier of their own, because the slice key
-/// covers all of their inputs; a one-knob configuration delta that misses
-/// `slices` still reuses the modules, stitched blocks and per-cone
-/// activity the delta did not touch.
+/// prices candidates from, and the module and per-cone activity tiers
+/// both build on. It is the compiler's only memo layer, and each result
+/// lives in exactly one tier. A repeated slice is one `slices` hit. The
+/// slice stages have no tier of their own, because the slice key covers
+/// all of their inputs; a one-knob configuration delta that misses
+/// `slices` still reuses the modules and per-cone activity the delta did
+/// not touch.
 ///
 /// Keys are 32-hex content digests (see ArtifactHasher) prefixed with a
 /// stage/version tag. What a key covers is stage-specific:
-///  - modules / blocks / flats: generator parameters only (netlist
-///    structure is library-independent),
+///  - modules / flats: generator parameters only (netlist structure is
+///    library-independent),
 ///  - activity: group structure + boundary probabilities + workload spec
 ///    + library fingerprint,
 ///  - lints / placed / routes / timings / powers / act_models: config
@@ -143,7 +143,6 @@ struct ArtifactStore {
   }
 
   rtlgen::ModuleCache modules{"modules"};
-  netlist::FlatBlockCache blocks{"blocks"};
   ArtifactCache<netlist::FlatNetlist> flats{"flats"};
   power::ActivityCache activity{"activity"};
   ArtifactCache<LintArtifact> lints{"lints"};
@@ -197,7 +196,6 @@ struct ArtifactStore {
   template <typename Store, typename F>
   static void visit_tiers(Store& s, F& f) {
     f(s.modules);
-    f(s.blocks);
     f(s.flats);
     f(s.activity);
     f(s.lints);

@@ -39,8 +39,8 @@ struct SweepOptions {
   int threads = 0;  ///< <= 0: hardware concurrency
   /// The content-addressed artifact store every worker evaluates
   /// through: slice characterizations (reused across specs, trajectories
-  /// and preference-only spec variants) and, under them, the modules,
-  /// blocks and per-cone activity a one-knob config delta still shares.
+  /// and preference-only spec variants) and, under them, the modules and
+  /// per-cone activity a one-knob config delta still shares.
   /// Disabling it is the cold reference path: the exact same code with
   /// every tier bypassed, so each evaluation re-characterizes its slice —
   /// the frontier JSON is byte-identical either way.
@@ -118,8 +118,8 @@ struct SweepReport {
   /// This run's evaluation memo traffic: the `slices` tier's per-run
   /// hits, misses and in-flight waits (one lookup per evaluation).
   core::ArtifactTierStats cache;
-  /// Per-tier hit/miss/occupancy of the artifact store (modules, blocks,
-  /// flats, activity, ..., slices — see core::ArtifactStore).
+  /// Per-tier hit/miss/occupancy of the artifact store (modules, flats,
+  /// activity, ..., slices — see core::ArtifactStore).
   std::vector<core::ArtifactTierStats> artifacts;
   WorkStealingPool::Stats pool;
   double wall_ms = 0.0;

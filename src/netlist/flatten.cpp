@@ -7,18 +7,10 @@ namespace syndcim::netlist {
 
 namespace {
 
+constexpr std::uint32_t kUnset = UINT32_MAX;
+
 struct Interner {
   std::unordered_map<std::string, std::uint32_t> map;
-};
-
-struct FlattenCtx {
-  const Design& design;
-  FlatNetlist& out;
-  Interner masters;
-  Interner pins;
-  Interner groups;
-  std::uint32_t shared_const0 = UINT32_MAX;
-  std::uint32_t shared_const1 = UINT32_MAX;
 };
 
 std::uint32_t intern(Interner& in, const std::string& name,
@@ -30,73 +22,118 @@ std::uint32_t intern(Interner& in, const std::string& name,
   return id;
 }
 
-/// Recursively expands `m`. `port_nets` maps each of m's local port nets to
-/// a flat net id chosen by the parent; other local nets get fresh flat ids.
-void expand(FlattenCtx& ctx, const Module& m,
-            const std::unordered_map<std::uint32_t, std::uint32_t>& port_nets,
-            std::uint32_t group) {
-  std::vector<std::uint32_t> local2flat(m.nets().size(), UINT32_MAX);
-  for (const auto& [local, flat] : port_nets) local2flat[local] = flat;
+/// What every expansion of one module looks up by name, resolved on its
+/// first expansion: a macro instances the same column, tree and OFU
+/// modules many times, and later expansions index these instead of
+/// hashing and scanning names again. In instance order: the interned
+/// master of each cell; per connection of any instance, the interned pin
+/// (cell) or the local net of the submodule port it names (submodule);
+/// the module of each submodule instance.
+struct ModuleIds {
+  bool resolved = false;
+  std::vector<std::uint32_t> masters;
+  std::vector<std::uint32_t> conns;
+  std::vector<const Module*> subs;
+};
 
-  const std::string& group_name = ctx.out.group_names()[group];
+struct FlattenCtx {
+  const Design& design;
+  FlatNetlist& out;
+  Interner masters;
+  Interner pins;
+  Interner groups;
+  std::unordered_map<const Module*, ModuleIds> ids;
+  std::uint32_t shared_const0 = kUnset;
+  std::uint32_t shared_const1 = kUnset;
+};
+
+/// Recursively expands `m`. `local2flat` holds the flat net the parent
+/// chose for each of m's port nets and kUnset elsewhere; other local nets
+/// get fresh flat nets named `prefix` + local name. Gates land in
+/// `group`, except at the top (`top`), where each submodule instance
+/// opens its own depth-1 group.
+void expand(FlattenCtx& ctx, const Module& m,
+            std::vector<std::uint32_t> local2flat, std::uint32_t group,
+            const std::string& prefix, bool top) {
   auto flat_net = [&](NetId local) -> std::uint32_t {
     std::uint32_t& slot = local2flat[local.v];
-    if (slot != UINT32_MAX) return slot;
+    if (slot != kUnset) return slot;
     const NetConst tie = m.net(local).tie;
     // Share one flat net per constant value design-wide.
     if (tie == NetConst::kZero) {
-      if (ctx.shared_const0 == UINT32_MAX) {
+      if (ctx.shared_const0 == kUnset) {
         ctx.shared_const0 = ctx.out.new_net(tie, "const0");
       }
       slot = ctx.shared_const0;
     } else if (tie == NetConst::kOne) {
-      if (ctx.shared_const1 == UINT32_MAX) {
+      if (ctx.shared_const1 == kUnset) {
         ctx.shared_const1 = ctx.out.new_net(tie, "const1");
       }
       slot = ctx.shared_const1;
     } else {
-      slot = ctx.out.new_net(tie, group_name + "." + m.net(local).name);
+      slot = ctx.out.new_net(tie, prefix + m.net(local).name);
     }
     return slot;
   };
 
+  ModuleIds& ids = ctx.ids[&m];
+  const bool resolve = !ids.resolved;
+  std::size_t next_master = 0, next_conn = 0, next_sub = 0;
   for (const Instance& inst : m.instances()) {
     if (inst.is_cell) {
+      if (resolve) {
+        ids.masters.push_back(
+            intern(ctx.masters, inst.master, [&](const std::string& n) {
+              return ctx.out.intern_master(n);
+            }));
+      }
       FlatNetlist::Gate g;
-      g.master = intern(ctx.masters, inst.master, [&](const std::string& n) {
-        return ctx.out.intern_master(n);
-      });
+      g.master = ids.masters[next_master++];
       g.group = group;
       g.pins.reserve(inst.conns.size());
       for (const Conn& c : inst.conns) {
-        const std::uint32_t pin =
-            intern(ctx.pins, c.pin, [&](const std::string& n) {
-              return ctx.out.intern_pin(n);
-            });
-        g.pins.push_back({pin, flat_net(c.net)});
+        if (resolve) {
+          ids.conns.push_back(
+              intern(ctx.pins, c.pin, [&](const std::string& n) {
+                return ctx.out.intern_pin(n);
+              }));
+        }
+        g.pins.push_back({ids.conns[next_conn++], flat_net(c.net)});
       }
       ctx.out.add_gate(std::move(g));
       continue;
     }
-    const Module& sub = ctx.design.module(inst.master);
-    std::unordered_map<std::uint32_t, std::uint32_t> sub_ports;
+    if (resolve) ids.subs.push_back(&ctx.design.module(inst.master));
+    const Module& sub = *ids.subs[next_sub++];
+    std::vector<std::uint32_t> sub2flat(sub.nets().size(), kUnset);
     for (const Conn& c : inst.conns) {
-      const Port& p = sub.port(c.pin);
-      sub_ports.emplace(p.net.v, flat_net(c.net));
+      if (resolve) ids.conns.push_back(sub.port(c.pin).net.v);
+      const std::uint32_t port_net = ids.conns[next_conn++];
+      const std::uint32_t flat = flat_net(c.net);
+      // Two connections to ports sharing one net: the first one wins.
+      if (sub2flat[port_net] == kUnset) sub2flat[port_net] = flat;
     }
     for (const Port& p : sub.ports()) {
-      if (sub_ports.contains(p.net.v)) continue;
+      if (sub2flat[p.net.v] != kUnset) continue;
       if (p.dir == PortDir::kIn) {
         throw std::invalid_argument("flatten: unconnected input port " +
                                     p.name + " on instance " + inst.name +
                                     " of " + sub.name());
       }
-      sub_ports.emplace(
-          p.net.v, ctx.out.new_net(NetConst::kNone,
-                                   inst.name + "." + p.name + ".nc"));
+      sub2flat[p.net.v] = ctx.out.new_net(
+          NetConst::kNone, inst.name + "." + p.name + ".nc");
     }
-    expand(ctx, sub, sub_ports, group);
+    if (top) {
+      const std::uint32_t sub_group = intern(
+          ctx.groups, inst.name,
+          [&](const std::string& n) { return ctx.out.intern_group(n); });
+      expand(ctx, sub, std::move(sub2flat), sub_group, inst.name + ".",
+             false);
+    } else {
+      expand(ctx, sub, std::move(sub2flat), group, prefix, false);
+    }
   }
+  ids.resolved = true;
 }
 
 }  // namespace
@@ -142,13 +179,13 @@ FlatNetlist flatten(const Design& d, const std::string& top) {
                                 (problems.size() > 1 ? " (+more)" : ""));
   }
   FlatNetlist out;
-  FlattenCtx ctx{d, out, {}, {}, {}};
+  FlattenCtx ctx{d, out, {}, {}, {}, {}};
   const Module& t = d.module(top);
 
-  std::unordered_map<std::uint32_t, std::uint32_t> top_ports;
+  std::vector<std::uint32_t> local2flat(t.nets().size(), kUnset);
   for (const Port& p : t.ports()) {
     const std::uint32_t net = out.new_net(t.net(p.net).tie, p.name);
-    top_ports.emplace(p.net.v, net);
+    if (local2flat[p.net.v] == kUnset) local2flat[p.net.v] = net;
     if (p.dir == PortDir::kIn) {
       out.add_primary_input(p.name, net);
     } else {
@@ -158,70 +195,8 @@ FlatNetlist flatten(const Design& d, const std::string& top) {
 
   // Group 0 = gates directly in the top module; depth-1 submodule instances
   // each get their own group for path-group classification and placement.
-  const std::uint32_t top_group = out.intern_group(top);
-  ctx.groups.map.emplace(top, top_group);
-
-  // Expand top manually so depth-1 instances can be tagged.
-  const Module& m = t;
-  std::vector<std::uint32_t> local2flat(m.nets().size(), UINT32_MAX);
-  for (const auto& [local, flat] : top_ports) local2flat[local] = flat;
-  auto flat_net = [&](NetId local) -> std::uint32_t {
-    std::uint32_t& slot = local2flat[local.v];
-    if (slot != UINT32_MAX) return slot;
-    const NetConst tie = m.net(local).tie;
-    if (tie == NetConst::kZero) {
-      if (ctx.shared_const0 == UINT32_MAX) {
-        ctx.shared_const0 = out.new_net(tie, "const0");
-      }
-      slot = ctx.shared_const0;
-    } else if (tie == NetConst::kOne) {
-      if (ctx.shared_const1 == UINT32_MAX) {
-        ctx.shared_const1 = out.new_net(tie, "const1");
-      }
-      slot = ctx.shared_const1;
-    } else {
-      slot = out.new_net(tie, m.net(local).name);
-    }
-    return slot;
-  };
-
-  for (const Instance& inst : m.instances()) {
-    if (inst.is_cell) {
-      FlatNetlist::Gate g;
-      g.master = intern(ctx.masters, inst.master, [&](const std::string& n) {
-        return out.intern_master(n);
-      });
-      g.group = top_group;
-      for (const Conn& c : inst.conns) {
-        const std::uint32_t pin =
-            intern(ctx.pins, c.pin,
-                   [&](const std::string& n) { return out.intern_pin(n); });
-        g.pins.push_back({pin, flat_net(c.net)});
-      }
-      out.add_gate(std::move(g));
-      continue;
-    }
-    const std::uint32_t group = intern(
-        ctx.groups, inst.name,
-        [&](const std::string& n) { return out.intern_group(n); });
-    const Module& sub = d.module(inst.master);
-    std::unordered_map<std::uint32_t, std::uint32_t> sub_ports;
-    for (const Conn& c : inst.conns) {
-      const Port& p = sub.port(c.pin);
-      sub_ports.emplace(p.net.v, flat_net(c.net));
-    }
-    for (const Port& p : sub.ports()) {
-      if (sub_ports.contains(p.net.v)) continue;
-      if (p.dir == PortDir::kIn) {
-        throw std::invalid_argument("flatten: unconnected input port " +
-                                    p.name + " on instance " + inst.name);
-      }
-      sub_ports.emplace(p.net.v,
-                        out.new_net(NetConst::kNone,
-                                    inst.name + "." + p.name + ".nc"));
-    }
-    expand(ctx, sub, sub_ports, group);
-  }
+  ctx.groups.map.emplace(top, out.intern_group(top));
+  expand(ctx, t, std::move(local2flat), 0, "", true);
   return out;
 }
 

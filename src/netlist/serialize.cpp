@@ -13,7 +13,6 @@ using core::deep_vec_bytes;
 namespace {
 
 constexpr std::uint8_t kModuleVersion = 1;
-constexpr std::uint8_t kBlockVersion = 2;
 constexpr std::uint8_t kFlatVersion = 1;
 
 void check_version(BinReader& r, std::uint8_t expect, const char* what) {
@@ -34,16 +33,6 @@ NetConst dec_tie(std::uint8_t v) {
     throw BinDecodeError("bad NetConst");
   }
   return static_cast<NetConst>(v);
-}
-
-std::uint8_t enc_ref(FlatBlock::RefKind k) {
-  return static_cast<std::uint8_t>(k);
-}
-FlatBlock::RefKind dec_ref(std::uint8_t v) {
-  if (v > static_cast<std::uint8_t>(FlatBlock::RefKind::kConst1)) {
-    throw BinDecodeError("bad RefKind");
-  }
-  return static_cast<FlatBlock::RefKind>(v);
 }
 
 }  // namespace
@@ -140,121 +129,6 @@ std::size_t deep_bytes(const Module& m) {
     n += inst.conns.size() * sizeof(Conn);
     for (const Conn& c : inst.conns) n += deep_str_bytes(c.pin);
   }
-  return n;
-}
-
-// --- FlatBlock -------------------------------------------------------------
-
-std::string encode_flat_block(const FlatBlock& b) {
-  BinWriter w;
-  w.u8(kBlockVersion);
-  w.u32(static_cast<std::uint32_t>(b.ports.size()));
-  for (const FlatBlock::PortInfo& p : b.ports) {
-    w.str(p.name);
-    w.u8(enc_dir(p.dir));
-    w.u32(p.slot);
-  }
-  w.u32(static_cast<std::uint32_t>(b.slot_nets.size()));
-  for (const std::uint32_t n : b.slot_nets) w.u32(n);
-  w.u32(static_cast<std::uint32_t>(b.internals.size()));
-  for (const FlatBlock::InternalNet& in : b.internals) {
-    w.str(in.suffix);
-    w.b(in.prefixed);
-  }
-  w.u32(static_cast<std::uint32_t>(b.alloc_seq.size()));
-  for (const FlatBlock::AllocEvent& ev : b.alloc_seq) {
-    w.u8(enc_ref(ev.kind));
-    w.u32(ev.internal);
-  }
-  w.u32(static_cast<std::uint32_t>(b.master_names.size()));
-  for (const std::string& s : b.master_names) w.str(s);
-  w.u32(static_cast<std::uint32_t>(b.pin_names.size()));
-  for (const std::string& s : b.pin_names) w.str(s);
-  w.u32(static_cast<std::uint32_t>(b.gates.size()));
-  for (const FlatBlock::Gate& g : b.gates) {
-    w.u32(g.master);
-    w.u32(static_cast<std::uint32_t>(g.pins.size()));
-    for (const FlatBlock::PinConn& pc : g.pins) {
-      w.u32(pc.pin);
-      w.u8(enc_ref(pc.net.kind));
-      w.u32(pc.net.index);
-    }
-  }
-  return w.take();
-}
-
-FlatBlock decode_flat_block(std::string_view payload) {
-  BinReader r(payload);
-  check_version(r, kBlockVersion, "flat block");
-  FlatBlock b;
-  const std::uint32_t n_ports = r.len(9);
-  b.ports.reserve(n_ports);
-  for (std::uint32_t i = 0; i < n_ports; ++i) {
-    FlatBlock::PortInfo p;
-    p.name = r.str();
-    p.dir = dec_dir(r.u8());
-    p.slot = r.u32();
-    b.ports.push_back(std::move(p));
-  }
-  const std::uint32_t n_slots = r.len(4);
-  b.slot_nets.reserve(n_slots);
-  for (std::uint32_t i = 0; i < n_slots; ++i) b.slot_nets.push_back(r.u32());
-  const std::uint32_t n_internal = r.len(5);
-  b.internals.reserve(n_internal);
-  for (std::uint32_t i = 0; i < n_internal; ++i) {
-    FlatBlock::InternalNet in;
-    in.suffix = r.str();
-    in.prefixed = r.b();
-    b.internals.push_back(std::move(in));
-  }
-  const std::uint32_t n_alloc = r.len(5);
-  b.alloc_seq.reserve(n_alloc);
-  for (std::uint32_t i = 0; i < n_alloc; ++i) {
-    FlatBlock::AllocEvent ev;
-    ev.kind = dec_ref(r.u8());
-    ev.internal = r.u32();
-    b.alloc_seq.push_back(ev);
-  }
-  const std::uint32_t n_masters = r.len(4);
-  b.master_names.reserve(n_masters);
-  for (std::uint32_t i = 0; i < n_masters; ++i) {
-    b.master_names.push_back(r.str());
-  }
-  const std::uint32_t n_pins = r.len(4);
-  b.pin_names.reserve(n_pins);
-  for (std::uint32_t i = 0; i < n_pins; ++i) b.pin_names.push_back(r.str());
-  const std::uint32_t n_gates = r.len(8);
-  b.gates.reserve(n_gates);
-  for (std::uint32_t i = 0; i < n_gates; ++i) {
-    FlatBlock::Gate g;
-    g.master = r.u32();
-    const std::uint32_t n_pc = r.len(9);
-    g.pins.reserve(n_pc);
-    for (std::uint32_t c = 0; c < n_pc; ++c) {
-      FlatBlock::PinConn pc;
-      pc.pin = r.u32();
-      pc.net.kind = dec_ref(r.u8());
-      pc.net.index = r.u32();
-      g.pins.push_back(pc);
-    }
-    b.gates.push_back(std::move(g));
-  }
-  r.expect_end();
-  return b;
-}
-
-std::size_t deep_bytes(const FlatBlock& b) {
-  std::size_t n = deep_vec_bytes(b.ports) + deep_vec_bytes(b.slot_nets) +
-                  deep_vec_bytes(b.internals) + deep_vec_bytes(b.alloc_seq) +
-                  deep_vec_bytes(b.master_names) + deep_vec_bytes(b.pin_names) +
-                  deep_vec_bytes(b.gates);
-  for (const FlatBlock::PortInfo& p : b.ports) n += deep_str_bytes(p.name);
-  for (const FlatBlock::InternalNet& in : b.internals) {
-    n += deep_str_bytes(in.suffix);
-  }
-  for (const std::string& s : b.master_names) n += deep_str_bytes(s);
-  for (const std::string& s : b.pin_names) n += deep_str_bytes(s);
-  for (const FlatBlock::Gate& g : b.gates) n += deep_vec_bytes(g.pins);
   return n;
 }
 

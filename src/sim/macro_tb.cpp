@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 #include "netlist/flatten.hpp"
 #include "rtlgen/ofu.hpp"
@@ -18,9 +19,17 @@ namespace {
 
 MacroTestbench::MacroTestbench(const MacroDesign& md,
                                const cell::Library& lib, int lanes)
-    : md_(md), flat_(netlist::flatten(md.design, md.top)) {
-  sim_ = std::make_unique<GateSim>(flat_, lib, lanes);
-}
+    : MacroTestbench(md,
+                     std::make_shared<const netlist::FlatNetlist>(
+                         netlist::flatten(md.design, md.top)),
+                     lib, lanes) {}
+
+MacroTestbench::MacroTestbench(
+    const MacroDesign& md, std::shared_ptr<const netlist::FlatNetlist> flat,
+    const cell::Library& lib, int lanes)
+    : md_(md),
+      flat_(std::move(flat)),
+      sim_(std::make_unique<GateSim>(*flat_, lib, lanes)) {}
 
 void MacroTestbench::preload_weights(const DcimMacroModel& model) {
   const auto& cfg = md_.cfg;

@@ -11,7 +11,7 @@
 
 namespace syndcim::sim {
 
-/// Gate-level testbench for a generated macro: owns the flattened netlist
+/// Gate-level testbench for a generated macro: holds the flattened netlist
 /// and a GateSim, and drives the cycle protocol documented on MacroDesign.
 /// Used for functional verification against DcimMacroModel and for
 /// activity extraction feeding the power engine.
@@ -22,10 +22,17 @@ namespace syndcim::sim {
 /// protocol, so one protocol run prices `lanes` MAC workloads.
 class MacroTestbench {
  public:
+  /// Flattens `md` itself.
   MacroTestbench(const rtlgen::MacroDesign& md, const cell::Library& lib,
                  int lanes = 1);
+  /// Simulates `flat`, which must be `md` flattened (the compiler passes
+  /// its `map` stage's netlist, so the toggle counts it reads back index
+  /// that same netlist).
+  MacroTestbench(const rtlgen::MacroDesign& md,
+                 std::shared_ptr<const netlist::FlatNetlist> flat,
+                 const cell::Library& lib, int lanes = 1);
 
-  [[nodiscard]] const netlist::FlatNetlist& netlist() const { return flat_; }
+  [[nodiscard]] const netlist::FlatNetlist& netlist() const { return *flat_; }
   [[nodiscard]] GateSim& sim() { return *sim_; }
 
   /// Copies the model's weight storage straight into the bitcell states
@@ -66,7 +73,7 @@ class MacroTestbench {
                                                        int lane = 0);
 
   const rtlgen::MacroDesign& md_;
-  netlist::FlatNetlist flat_;
+  std::shared_ptr<const netlist::FlatNetlist> flat_;
   std::unique_ptr<GateSim> sim_;
 };
 

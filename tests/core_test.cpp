@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "core/searcher.hpp"
 #include "core/spec.hpp"
 #include "netlist/flatten.hpp"
+#include "netlist/serialize.hpp"
 #include "power/power.hpp"
 #include "tech/tech_node.hpp"
 
@@ -213,6 +215,38 @@ TEST(Compiler, EndToEndSignoffClean) {
   // (wire parasitics and measured vs. probabilistic activity shift them).
   EXPECT_GT(res.impl.total_power_uw, res.selected.ppa.power_uw / 3);
   EXPECT_LT(res.impl.total_power_uw, res.selected.ppa.power_uw * 3);
+}
+
+// implement() flattens the macro once, in its `map` stage, and keeps that
+// netlist: it is the macro flattened, and the floorplan covers its gates.
+TEST(Compiler, ImplementationKeepsTheMappedNetlist) {
+  core::SynDcimCompiler compiler(lib());
+  const auto res = compiler.compile(small_spec());
+  ASSERT_NE(res.impl.flat, nullptr);
+  EXPECT_EQ(netlist::encode_flat_netlist(*res.impl.flat),
+            netlist::encode_flat_netlist(netlist::flatten(
+                res.impl.macro.design, res.impl.macro.top)));
+  EXPECT_EQ(res.impl.floorplan.gate_rects.size(),
+            res.impl.flat->gates().size());
+}
+
+// No design point meeting the spec is the caller's error: the
+// std::invalid_argument the daemon answers with 400, naming the spec.
+TEST(Compiler, InfeasibleSpecThrowsInvalidArgumentNamingTheSpec) {
+  core::SynDcimCompiler compiler(lib());
+  PerfSpec spec = small_spec();
+  spec.mac_freq_mhz = 20000.0;  // 20 GHz: impossible
+  try {
+    (void)compiler.compile(spec);
+    FAIL() << "compile accepted an infeasible spec";
+  } catch (const core::InfeasibleSpecError& e) {
+    const std::invalid_argument& caller_error = e;
+    const std::string msg = caller_error.what();
+    EXPECT_NE(msg.find("spec infeasible"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("rows=16 cols=8 mcr=2 mac_mhz=20000"),
+              std::string::npos)
+        << msg;
+  }
 }
 
 TEST(Baselines, FeatureMatrixMatchesTable1) {

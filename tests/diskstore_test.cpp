@@ -29,8 +29,8 @@
 #include "layout/serialize.hpp"
 #include "lint/lint.hpp"
 #include "lint/serialize.hpp"
+#include "netlist/flatten.hpp"
 #include "netlist/serialize.hpp"
-#include "netlist/stitch.hpp"
 #include "power/activity.hpp"
 #include "power/power.hpp"
 #include "power/serialize.hpp"
@@ -99,9 +99,7 @@ const PipelinePayloads& payloads() {
     const cell::Library& lib = test_library();
     const rtlgen::MacroConfig cfg = small_cfg();
     out.macro = rtlgen::gen_macro(cfg);
-    netlist::StitchResult sr =
-        netlist::stitch_flatten(out.macro.design, out.macro.top);
-    out.flat = std::move(sr.nl);
+    out.flat = netlist::flatten(out.macro.design, out.macro.top);
     {
       core::DiagEngine dg;
       dg.warning("TEST-RULE", "synthetic finding", "obj", "src");
@@ -190,23 +188,6 @@ TEST(ArtifactCodec, ModuleRoundTripsBitIdentical) {
   const netlist::Module back = netlist::decode_module(bytes);
   EXPECT_EQ(netlist::encode_module(back), bytes);
   EXPECT_GT(netlist::deep_bytes(m), 0u);
-}
-
-TEST(ArtifactCodec, FlatBlockRoundTripsBitIdentical) {
-  const auto& p = payloads();
-  std::string sub;
-  for (const std::string& name : p.macro.design.module_names()) {
-    if (name != p.macro.top) {
-      sub = name;
-      break;
-    }
-  }
-  ASSERT_FALSE(sub.empty()) << "macro has no submodules";
-  const netlist::FlatBlock b = netlist::flatten_block(p.macro.design, sub);
-  const std::string bytes = netlist::encode_flat_block(b);
-  const netlist::FlatBlock back = netlist::decode_flat_block(bytes);
-  EXPECT_EQ(netlist::encode_flat_block(back), bytes);
-  EXPECT_GT(netlist::deep_bytes(b), 0u);
 }
 
 TEST(ArtifactCodec, FlatNetlistRoundTripsBitIdentical) {

@@ -1,9 +1,8 @@
 // Cold-vs-incremental equivalence tests of the content-addressed
-// subcircuit-artifact pipeline: stitch_flatten vs flatten byte-identity,
-// grouped activity propagation, stage skipping inside implement() and the
-// subcircuit library, NET-* diagnostic routing, and the one-knob-delta
-// sweep whose frontier JSON must be byte-identical with the artifact
-// tiers on or off.
+// subcircuit-artifact pipeline: grouped activity propagation, stage
+// skipping inside implement() and the subcircuit library, NET-*
+// diagnostic routing, and the one-knob-delta sweep whose frontier JSON
+// must be byte-identical with the artifact tiers on or off.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -20,7 +19,6 @@
 #include "dse/eval_cache.hpp"
 #include "dse/sweep.hpp"
 #include "netlist/flatten.hpp"
-#include "netlist/stitch.hpp"
 #include "power/activity.hpp"
 #include "rtlgen/content_key.hpp"
 #include "rtlgen/macro.hpp"
@@ -44,33 +42,6 @@ rtlgen::MacroConfig small_cfg() {
   cfg.input_bits = {4};
   cfg.weight_bits = {4};
   return cfg;
-}
-
-std::vector<rtlgen::MacroConfig> config_variants() {
-  std::vector<rtlgen::MacroConfig> out;
-  out.push_back(small_cfg());
-  {
-    rtlgen::MacroConfig c = small_cfg();
-    c.cols = 16;
-    c.mcr = 2;
-    out.push_back(c);
-  }
-  {
-    rtlgen::MacroConfig c = small_cfg();
-    c.rows = 32;
-    c.input_bits = {4, 8};
-    c.weight_bits = {4, 8};
-    c.cols = 16;
-    out.push_back(c);
-  }
-  {
-    rtlgen::MacroConfig c = small_cfg();
-    c.bitcell = rtlgen::BitcellKind::k8T;
-    c.tree.style = rtlgen::AdderTreeStyle::kMixed;
-    c.tree.fa_fraction = 0.5;
-    out.push_back(c);
-  }
-  return out;
 }
 
 void expect_activity_equal(const power::ActivityModel& a,
@@ -116,39 +87,6 @@ void expect_impl_equal(const core::Implementation& a,
       EXPECT_EQ(ga.outputs[i].slew_ps, gb.outputs[i].slew_ps);
     }
   }
-}
-
-TEST(Stitch, MatchesFlattenAcrossConfigs) {
-  for (const rtlgen::MacroConfig& cfg : config_variants()) {
-    const rtlgen::MacroDesign md = rtlgen::gen_macro(cfg);
-    const netlist::FlatNetlist ref = netlist::flatten(md.design, md.top);
-    const netlist::StitchResult sr =
-        netlist::stitch_flatten(md.design, md.top);
-    EXPECT_TRUE(netlist::flat_netlist_equal(ref, sr.nl))
-        << rtlgen::config_content_key(cfg);
-    // Repeated subcircuits (columns, OFU groups) splice one build.
-    EXPECT_GT(sr.stats.blocks_reused, 0u);
-  }
-}
-
-TEST(Stitch, SharedCacheReusesBlocksAcrossConfigs) {
-  netlist::FlatBlockCache cache("blocks");
-  const rtlgen::MacroConfig a = small_cfg();
-  rtlgen::MacroConfig b = small_cfg();
-  b.cols = 16;  // one-knob delta: same column subcircuit, more instances
-
-  const rtlgen::MacroDesign mda = rtlgen::gen_macro(a);
-  const netlist::StitchResult ra =
-      netlist::stitch_flatten(mda.design, mda.top, &cache);
-  const rtlgen::MacroDesign mdb = rtlgen::gen_macro(b);
-  const netlist::StitchResult rb =
-      netlist::stitch_flatten(mdb.design, mdb.top, &cache);
-
-  // The second design builds almost nothing: its column block is already
-  // in the shared tier.
-  EXPECT_LT(rb.stats.blocks_built, ra.stats.blocks_built);
-  EXPECT_TRUE(netlist::flat_netlist_equal(
-      rb.nl, netlist::flatten(mdb.design, mdb.top)));
 }
 
 TEST(GroupedActivity, ColdAndWarmAreByteIdentical) {

@@ -211,4 +211,26 @@ TEST(Artifacts, WritesCompleteBundle) {
   std::filesystem::remove_all(dir);
 }
 
+// The DEF and the TCL come from the netlist the compile placed, so a
+// result without one is refused before half a bundle lands on disk.
+TEST(Artifacts, RefusesResultWithoutNetlistAndWritesNothing) {
+  core::SynDcimCompiler compiler(lib());
+  core::PerfSpec spec;
+  spec.rows = 16;
+  spec.cols = 8;
+  spec.mcr = 2;
+  spec.input_bits = {4};
+  spec.weight_bits = {4};
+  spec.mac_freq_mhz = 300;
+  spec.wupdate_freq_mhz = 300;
+  auto res = compiler.compile(spec);
+  ASSERT_NE(res.impl.flat, nullptr);
+  res.impl.flat.reset();
+  const std::string dir = ::testing::TempDir() + "/syndcim_no_netlist";
+  std::filesystem::remove_all(dir);
+  EXPECT_THROW((void)core::write_artifacts(res, spec, lib(), dir),
+               std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
 }  // namespace

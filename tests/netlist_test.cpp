@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/diag.hpp"
 #include "netlist/design.hpp"
@@ -213,6 +215,78 @@ TEST(Flatten, MasterAndPinInterning) {
     if (f.master_names()[g.master] == "HAX1") ++ha;
   }
   EXPECT_EQ(ha, 2);
+}
+
+// Every expansion of a module after its first reuses the first one's
+// master, pin and port lookups. Each copy must still get its own internal
+// nets and follow its own instance's connections, whatever their pin
+// order: two 2-bit ripple adders, each of two full adders.
+TEST(Flatten, RepeatedExpansionsKeepTheirOwnConnections) {
+  Design d;
+  d.add_module(make_full_adder_module());
+  Module rca("rca2");
+  const NetId a = rca.add_port("a", PortDir::kIn);
+  const NetId b = rca.add_port("b", PortDir::kIn);
+  const NetId ci = rca.add_port("ci", PortDir::kIn);
+  const NetId s0 = rca.add_port("s0", PortDir::kOut);
+  const NetId s1 = rca.add_port("s1", PortDir::kOut);
+  const NetId co = rca.add_port("co", PortDir::kOut);
+  const NetId c = rca.add_net("c");
+  rca.add_submodule("fa0", "fa_struct",
+                    {{"A", a}, {"B", b}, {"CI", ci}, {"S", s0}, {"CO", c}});
+  rca.add_submodule("fa1", "fa_struct",
+                    {{"CO", co}, {"S", s1}, {"CI", c}, {"B", b}, {"A", a}});
+  d.add_module(std::move(rca));
+  Module top("top");
+  std::vector<Conn> m0, m1;
+  for (const std::string k : {"0", "1"}) {
+    std::vector<Conn>& cs = k == "0" ? m0 : m1;
+    for (const char* in : {"a", "b", "ci"}) {
+      cs.push_back({in, top.add_port(in + k, PortDir::kIn)});
+    }
+    for (const char* out : {"s0", "s1", "co"}) {
+      cs.push_back({out, top.add_port(out + k, PortDir::kOut)});
+    }
+  }
+  std::reverse(m1.begin(), m1.end());  // m1 lists its pins backwards
+  top.add_submodule("m0", "rca2", m0);
+  top.add_submodule("m1", "rca2", m1);
+  d.add_module(std::move(top));
+
+  const FlatNetlist f = flatten(d, "top");
+  // 12 top ports, then per adder pair its carry and 3 nets per adder.
+  EXPECT_EQ(f.net_count(), 12u + 2u * (1u + 2u * 3u));
+  // Gates in instance order: m0.fa0, m0.fa1, m1.fa0, m1.fa1, each
+  // ha0, ha1, or0.
+  ASSERT_EQ(f.gates().size(), 12u);
+  auto net = [&](std::size_t g, const std::string& pin) {
+    for (const auto& pc : f.gates()[g].pins) {
+      if (f.pin_names()[pc.pin_name] == pin) return pc.net;
+    }
+    ADD_FAILURE() << "gate " << g << " has no pin " << pin;
+    return UINT32_MAX;
+  };
+  for (std::size_t r = 0; r < 2; ++r) {
+    const std::string k = std::to_string(r);
+    const std::size_t fa0 = 6 * r, fa1 = fa0 + 3;
+    EXPECT_EQ(f.gates()[fa0].group, r + 1);
+    EXPECT_EQ(f.gates()[fa1 + 2].group, r + 1);
+    for (const std::size_t fa : {fa0, fa1}) {
+      EXPECT_EQ(net(fa, "A"), f.input_net("a" + k)) << r;
+      EXPECT_EQ(net(fa, "B"), f.input_net("b" + k)) << r;
+      // The adder's own internal net joins its two half adders.
+      EXPECT_EQ(net(fa, "S"), net(fa + 1, "A")) << r;
+    }
+    EXPECT_NE(net(fa0, "S"), net(fa1, "S")) << r;
+    EXPECT_EQ(net(fa0 + 1, "B"), f.input_net("ci" + k)) << r;
+    EXPECT_EQ(net(fa0 + 1, "S"), f.output_net("s0" + k)) << r;
+    EXPECT_EQ(net(fa1 + 1, "S"), f.output_net("s1" + k)) << r;
+    // fa0's carry out is fa1's carry in.
+    EXPECT_EQ(net(fa0 + 2, "Y"), net(fa1 + 1, "B")) << r;
+    EXPECT_EQ(net(fa1 + 2, "Y"), f.output_net("co" + k)) << r;
+  }
+  EXPECT_NE(net(2, "Y"), net(8, "Y"));
+  EXPECT_NE(net(0, "S"), net(6, "S"));
 }
 
 /// Parses `src` (recording findings in `diag`) and prints module `top`

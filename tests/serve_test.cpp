@@ -559,7 +559,7 @@ TEST(ServeDaemon, ConcurrentIdenticalCompilesComputeEachArtifactOnce) {
   const std::map<std::string, std::uint64_t> one_misses =
       tier_misses(*single);
   single->drain();
-  for (const char* tier : {"slices", "modules", "blocks", "activity"}) {
+  for (const char* tier : {"slices", "modules", "activity"}) {
     EXPECT_GT(one_misses.at(tier), 0u) << tier;
   }
 
@@ -832,8 +832,8 @@ TEST(ServeDaemon, NetmapMatchesBatchByteForByte) {
 // `threads` is not a request param: --sweep-threads alone sets how many
 // threads a served sweep or netmap starts. A request naming it is a 400
 // (an unknown spec key) before any worker thread starts, and the daemon
-// keeps answering. So are the other keys outside the request vocabulary
-// and numbers that do not parse.
+// keeps answering. So are the other keys outside the request vocabulary,
+// numbers that do not parse and a compile of a spec no design point meets.
 TEST(ServeDaemon, ThreadsAboveSweepThreadsIsA400) {
   serve::ServerOptions opt;
   opt.sweep_threads = 2;
@@ -865,6 +865,8 @@ TEST(ServeDaemon, ThreadsAboveSweepThreadsIsA400) {
           {"sweep", lint_frontier},
           {"compile", {{"search_only", "true"}, {"rows", "99999999999"}}},
           {"sweep", {{"rows", "32"}, {"sweep_mac_mhz", "250,1e999"}}},
+          // Infeasible at the default 800 MHz: the caller's error.
+          {"compile", {{"rows", "32"}, {"cols", "32"}}},
       };
   for (const auto& [method, bad] : rejected) {
     const serve::ClientResponse resp = call(server->port(), method, bad);

@@ -3,6 +3,7 @@
 // bit-parallel / event-driven engine against the scalar reference.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 
 #include "cell/characterize.hpp"
@@ -325,6 +326,47 @@ TEST(GateSimLanes, MacroTestbenchLanesMatchModelPerLane) {
   sim::MacroTestbench tb0(md, lib());
   tb0.preload_weights(model);
   EXPECT_EQ(out[0], tb0.run_mac_int(in[0], ib, wp, 0));
+}
+
+// The compiler hands its `map` stage's netlist to the testbench, and
+// reads the toggle counts back against that netlist: the testbench must
+// simulate the very object it is given, cycle for cycle like one that
+// flattens the macro itself.
+TEST(MacroTestbench, SimulatesTheNetlistItIsGiven) {
+  const rtlgen::MacroConfig cfg = sim_macro_cfg(0);
+  const auto md = rtlgen::gen_macro(cfg);
+  const auto flat = std::make_shared<const netlist::FlatNetlist>(
+      netlist::flatten(md.design, md.top));
+  sim::MacroTestbench given(md, flat, lib());
+  EXPECT_EQ(&given.netlist(), flat.get());
+  sim::MacroTestbench own(md, lib());
+
+  sim::DcimMacroModel model(cfg);
+  std::mt19937 rng(23);
+  const int wp = 4, ib = 4;
+  const num::IntFormat wf{wp, true}, inf{ib, true};
+  std::uniform_int_distribution<std::int64_t> wdist(wf.min_value(),
+                                                    wf.max_value());
+  std::uniform_int_distribution<std::int64_t> idist(inf.min_value(),
+                                                    inf.max_value());
+  std::vector<std::vector<std::int64_t>> w(
+      static_cast<std::size_t>(cfg.cols / wp));
+  for (auto& g : w) {
+    g.resize(static_cast<std::size_t>(cfg.rows));
+    for (auto& v : g) v = wdist(rng);
+  }
+  model.load_weights_int(0, wp, w);
+  given.preload_weights(model);
+  own.preload_weights(model);
+  for (int run = 0; run < 3; ++run) {
+    std::vector<std::int64_t> in(static_cast<std::size_t>(cfg.rows));
+    for (auto& v : in) v = idist(rng);
+    const auto out = given.run_mac_int(in, ib, wp, 0);
+    EXPECT_EQ(out, model.mac_int(in, ib, wp, 0)) << "run " << run;
+    EXPECT_EQ(out, own.run_mac_int(in, ib, wp, 0)) << "run " << run;
+  }
+  EXPECT_EQ(given.sim().cycles(), own.sim().cycles());
+  EXPECT_EQ(given.sim().net_toggles(), own.sim().net_toggles());
 }
 
 TEST(GateSimLanes, RejectsBadLaneCounts) {

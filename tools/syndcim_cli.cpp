@@ -247,6 +247,21 @@ void read_spec_file(const std::string& path,
 /// options already stripped by main().
 using Args = std::vector<std::string>;
 
+/// Writes `text` to `path` and says so on stderr: `wrote <path>`, or
+/// `error: cannot write <path>` and false when the file cannot be opened
+/// or written.
+bool write_report(const std::string& path, const std::string& text) {
+  std::ofstream f(path);
+  f << text;
+  f.close();
+  if (!f) {
+    std::cerr << "error: cannot write " << path << "\n";
+    return false;
+  }
+  std::cerr << "wrote " << path << "\n";
+  return true;
+}
+
 /// Shared tail of the sweep and merge-shards paths: frontier table on
 /// stderr, report/frontier JSON files, buffered CACHE-* findings, and the
 /// feasibility exit status.
@@ -276,16 +291,13 @@ int emit_sweep_outputs(const dse::SweepReport& rep,
   }
 
   if (!json_path.empty()) {
-    std::ofstream f(json_path);
-    f << dse::sweep_report_json(rep);
-    std::cerr << "wrote " << json_path << "\n";
+    if (!write_report(json_path, dse::sweep_report_json(rep))) return 2;
   } else {
     std::cout << dse::sweep_report_json(rep);
   }
-  if (!frontier_path.empty()) {
-    std::ofstream f(frontier_path);
-    f << dse::sweep_frontier_json(rep);
-    std::cerr << "wrote " << frontier_path << "\n";
+  if (!frontier_path.empty() &&
+      !write_report(frontier_path, dse::sweep_frontier_json(rep))) {
+    return 2;
   }
   bool any_feasible = false;
   for (const dse::SpecResult& sr : rep.per_spec) {
@@ -323,9 +335,11 @@ int run_sweep_command(const Args& args) {
       bool ok = slash != std::string::npos;
       if (ok) {
         try {
-          opt.shard_index = std::stoul(v.substr(0, slash));
-          opt.shard_count = std::stoul(v.substr(slash + 1));
-        } catch (const std::exception&) {
+          opt.shard_index =
+              core::parse_int<std::size_t>(a, v.substr(0, slash));
+          opt.shard_count =
+              core::parse_int<std::size_t>(a, v.substr(slash + 1));
+        } catch (const std::invalid_argument&) {
           ok = false;
         }
       }
@@ -598,13 +612,7 @@ int run_netmap_command(const Args& args) {
 
   const std::string report = netmap::netmap_report_json(res);
   if (!json_path.empty()) {
-    std::ofstream f(json_path);
-    if (!f) {
-      std::cerr << "error: cannot write " << json_path << "\n";
-      return 2;
-    }
-    f << report;
-    std::cerr << "wrote " << json_path << "\n";
+    if (!write_report(json_path, report)) return 2;
   } else {
     std::cout << report;
   }
@@ -683,14 +691,8 @@ int run_lint_command(const Args& args) {
   if (!top.empty()) lint::lint_top(design, top, lib, diag, write_clock);
 
   diag.print(std::cerr);
-  if (!json_path.empty()) {
-    std::ofstream jf(json_path);
-    if (!jf) {
-      std::cerr << "error: cannot write " << json_path << "\n";
-      return 2;
-    }
-    jf << diag.to_json();
-    std::cerr << "wrote " << json_path << "\n";
+  if (!json_path.empty() && !write_report(json_path, diag.to_json())) {
+    return 2;
   }
   std::cerr << netlist_path << ": " << diag.summary() << "\n";
   return diag.has_errors() ? 1 : 0;
@@ -795,6 +797,9 @@ int run_compile_command(const Args& args) {
     std::cerr << "compile interrupted (" << e.what() << ")\n";
     const int sig = serve::shutdown_signal();
     return sig != 0 ? 128 + sig : 2;
+  } catch (const core::InfeasibleSpecError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

@@ -37,9 +37,11 @@
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/spec.hpp"
 #include "json/json.hpp"
 #include "serve/client.hpp"
 
@@ -104,7 +106,7 @@ bool parse_args(int argc, char** argv, Options* opt, std::string* err) {
     } else if (a == "--port") {
       const char* v = next("--port");
       if (v == nullptr) return false;
-      opt->port = std::atoi(v);
+      opt->port = core::parse_int(a, v);
     } else if (a == "--host") {
       const char* v = next("--host");
       if (v == nullptr) return false;
@@ -112,7 +114,7 @@ bool parse_args(int argc, char** argv, Options* opt, std::string* err) {
     } else if (a == "--deadline-ms") {
       const char* v = next("--deadline-ms");
       if (v == nullptr) return false;
-      opt->deadline_ms = std::atof(v);
+      opt->deadline_ms = core::parse_number(a, v);
     } else if (a == "--netlist" || a == "--param-file") {
       std::string key = "netlist";
       if (a == "--param-file") {
@@ -135,7 +137,7 @@ bool parse_args(int argc, char** argv, Options* opt, std::string* err) {
     } else if (a == "--concurrent") {
       const char* v = next("--concurrent");
       if (v == nullptr) return false;
-      opt->concurrent = std::atoi(v);
+      opt->concurrent = core::parse_int(a, v);
     } else if (a == "--batch") {
       const char* v = next("--batch");
       if (v == nullptr) return false;
@@ -227,7 +229,13 @@ bool parse_batch_file(const std::string& path, std::vector<BatchItem>* items,
 int main(int argc, char** argv) {
   Options opt;
   std::string err;
-  if (!parse_args(argc, argv, &opt, &err)) {
+  bool parsed = false;
+  try {
+    parsed = parse_args(argc, argv, &opt, &err);
+  } catch (const std::invalid_argument& e) {  // a malformed number
+    err = e.what();
+  }
+  if (!parsed) {
     std::cerr << "error: " << err << "\n";
     usage(std::cerr);
     return 2;
