@@ -50,7 +50,7 @@ int main() {
        {std::pair<const char*, layout::Floorplan>{
             "SDP (structured)", layout::sdp_place(flat, lib, cfg)},
         {"scattered", layout::scattered_place(flat, lib, 1)}}) {
-    const auto wire = layout::extract_wire_model(flat, fp, lib.node());
+    const auto wire = layout::extract_wire_model(flat, lib, fp);
     sta::StaOptions topt;
     topt.wire = wire;
     topt.static_inputs = md.static_control_ports();

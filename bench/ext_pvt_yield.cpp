@@ -52,7 +52,7 @@ int main() {
     const auto md = rtlgen::gen_macro(picks[i].cfg);
     const auto flat = netlist::flatten(md.design, md.top);
     const auto fp = layout::sdp_place(flat, lib, picks[i].cfg);
-    const auto wire = layout::extract_wire_model(flat, fp, lib.node());
+    const auto wire = layout::extract_wire_model(flat, lib, fp);
     sta::StaEngine eng(flat, lib);
 
     std::cout << "-- " << names[i] << ": " << picks[i].label << " --\n";

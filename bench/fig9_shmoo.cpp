@@ -65,7 +65,7 @@ int main() {
   const netlist::FlatNetlist flat =
       netlist::flatten(res.impl.macro.design, res.impl.macro.top);
   const auto fp = layout::sdp_place(flat, lib, cfg);
-  const auto wire = layout::extract_wire_model(flat, fp, lib.node());
+  const auto wire = layout::extract_wire_model(flat, lib, fp);
   sta::StaEngine sta(flat, lib);
 
   const std::vector<double> volts = {0.6,  0.65, 0.7,  0.75, 0.8, 0.85,

@@ -216,7 +216,7 @@ Implementation SynDcimCompiler::implement(const rtlgen::MacroConfig& cfg,
     ra.drc = layout::run_drc(*flat, lib_, placed->floorplan);
     ra.lvs = layout::run_lvs(*flat, lib_, placed->floorplan);
     ra.wire =
-        layout::extract_wire_model(*flat, placed->floorplan, lib_.node());
+        layout::extract_wire_model(*flat, lib_, placed->floorplan);
     return ra;
   });
   impl.drc = route->drc;

@@ -77,7 +77,7 @@ SliceEval SubcircuitLibrary::characterize(const MacroConfig& cfg) const {
   }();
   const sta::WireModel wire = [&] {
     OBS_SPAN("scl.slice.route");
-    return layout::extract_wire_model(flat, floorplan, lib_.node());
+    return layout::extract_wire_model(flat, lib_, floorplan);
   }();
 
   // static_control_ports() is a pure function of the configuration.

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "cell/bind.hpp"
 #include "obs/obs.hpp"
 
 namespace syndcim::layout {
@@ -24,27 +25,15 @@ namespace {
 constexpr double kLogicUtilization = 0.65;  ///< packing density in strips
 constexpr double kWhitespaceFactor = 1.12;  ///< outline margin (grid, rings)
 
-struct ResolvedCells {
-  std::vector<const cell::Cell*> per_gate;
-};
-
-ResolvedCells resolve(const FlatNetlist& nl, const cell::Library& lib) {
-  std::vector<const cell::Cell*> masters;
-  for (const std::string& m : nl.master_names()) masters.push_back(&lib.get(m));
-  ResolvedCells rc;
-  rc.per_gate.reserve(nl.gates().size());
-  for (const auto& g : nl.gates()) rc.per_gate.push_back(masters[g.master]);
-  return rc;
-}
-
 /// Packs `gates` row-major into a strip starting at (x0, y0) with the
 /// given width; returns the used height. Rows have std-cell height.
 double pack_scanline(const std::vector<std::uint32_t>& gates,
-                     const ResolvedCells& rc, double x0, double y0,
-                     double strip_w, double row_h, Floorplan& fp) {
+                     const std::vector<const cell::Cell*>& gate_cell,
+                     double x0, double y0, double strip_w, double row_h,
+                     Floorplan& fp) {
   double x = x0, y = y0;
   for (const std::uint32_t g : gates) {
-    const cell::Cell* c = rc.per_gate[g];
+    const cell::Cell* c = gate_cell[g];
     if (x + c->width_um > x0 + strip_w + 1e-9) {
       x = x0;
       y += row_h;
@@ -57,9 +46,9 @@ double pack_scanline(const std::vector<std::uint32_t>& gates,
 }
 
 double group_logic_area(const std::vector<std::uint32_t>& gates,
-                        const ResolvedCells& rc) {
+                        const std::vector<const cell::Cell*>& gate_cell) {
   double a = 0.0;
-  for (const std::uint32_t g : gates) a += rc.per_gate[g]->area_um2;
+  for (const std::uint32_t g : gates) a += gate_cell[g]->area_um2;
   return a;
 }
 
@@ -83,7 +72,7 @@ int parse_col_index(const std::string& name) {
 Floorplan sdp_place(const FlatNetlist& nl, const cell::Library& lib,
                     const rtlgen::MacroConfig& cfg, core::DiagEngine* diag) {
   OBS_SPAN("layout.place");
-  const ResolvedCells rc = resolve(nl, lib);
+  const auto gate_cell = cell::bind(nl, lib, "sdp_place").cells;
   const tech::TechNode& node = lib.node();
   const double row_h = node.std_row_height_um;
 
@@ -97,7 +86,7 @@ Floorplan sdp_place(const FlatNetlist& nl, const cell::Library& lib,
   std::vector<std::vector<std::uint32_t>> logic(group_names.size());
   for (std::uint32_t g = 0; g < nl.gates().size(); ++g) {
     const auto& fg = nl.gates()[g];
-    (rc.per_gate[g]->is_bitcell() ? bitcells : logic)[fg.group].push_back(g);
+    (gate_cell[g]->is_bitcell() ? bitcells : logic)[fg.group].push_back(g);
   }
 
   const cell::Cell& bc = lib.get(rtlgen::bitcell_cell_name(cfg.bitcell));
@@ -110,7 +99,7 @@ Floorplan sdp_place(const FlatNetlist& nl, const cell::Library& lib,
   for (std::size_t gi = 0; gi < group_names.size(); ++gi) {
     if (group_names[gi].rfind("col", 0) == 0 && !logic[gi].empty()) {
       col_logic_area = std::max(col_logic_area,
-                                group_logic_area(logic[gi], rc));
+                                group_logic_area(logic[gi], gate_cell));
     }
   }
   // Strip width: the column's tree/S&A logic stacks *vertically* beside
@@ -144,7 +133,7 @@ Floorplan sdp_place(const FlatNetlist& nl, const cell::Library& lib,
   double wl_area = 0.0, al_area = 0.0, ofu_area = 0.0;
   for (std::size_t gi = 0; gi < group_names.size(); ++gi) {
     const std::string& name = group_names[gi];
-    const double a = group_logic_area(logic[gi], rc);
+    const double a = group_logic_area(logic[gi], gate_cell);
     if (name == "wldrv") {
       wl_area = a;
     } else if (name == "align") {
@@ -155,7 +144,7 @@ Floorplan sdp_place(const FlatNetlist& nl, const cell::Library& lib,
       bottom.insert(bottom.end(), logic[gi].begin(), logic[gi].end());
     }
   }
-  const double wr_area = group_logic_area(bottom, rc);
+  const double wr_area = group_logic_area(bottom, gate_cell);
   const double array_w = cfg.cols * strip_w;
   const double wl_w =
       wl_area > 0
@@ -207,8 +196,8 @@ Floorplan sdp_place(const FlatNetlist& nl, const cell::Library& lib,
       fp.placed[cells[i]] = 1;
     }
     // Column logic in the adjacent strip.
-    pack_scanline(logic[gi], rc, sx + cfg.mcr * cell_w, ay0, logic_strip_w,
-                  row_h, fp);
+    pack_scanline(logic[gi], gate_cell, sx + cfg.mcr * cell_w, ay0,
+                  logic_strip_w, row_h, fp);
     fp.regions.push_back({name, Rect{sx, ay0, strip_w, strip_h}});
   }
   if (n_cols_placed != cfg.cols) {
@@ -217,20 +206,21 @@ Floorplan sdp_place(const FlatNetlist& nl, const cell::Library& lib,
   }
 
   // Peripheral blocks.
-  pack_scanline(bottom, rc, ax0, 0.0, array_w, row_h, fp);
+  pack_scanline(bottom, gate_cell, ax0, 0.0, array_w, row_h, fp);
   fp.regions.push_back({"wrport", Rect{ax0, 0, array_w, wr_h}});
   double ofu_y = ay0;
   for (std::size_t gi = 0; gi < group_names.size(); ++gi) {
     const std::string& name = group_names[gi];
     if (name == "wldrv") {
-      pack_scanline(logic[gi], rc, 0.0, ay0, wl_w, row_h, fp);
+      pack_scanline(logic[gi], gate_cell, 0.0, ay0, wl_w, row_h, fp);
       fp.regions.push_back({name, Rect{0, ay0, wl_w, strip_h}});
     } else if (name == "align") {
-      pack_scanline(logic[gi], rc, ax0, ay0 + strip_h, array_w, row_h, fp);
+      pack_scanline(logic[gi], gate_cell, ax0, ay0 + strip_h, array_w, row_h,
+                    fp);
       fp.regions.push_back({name, Rect{ax0, ay0 + strip_h, array_w, al_h}});
     } else if (name.rfind("ofu_g", 0) == 0) {
-      const double used = pack_scanline(logic[gi], rc, ax0 + array_w, ofu_y,
-                                        ofu_w, row_h, fp);
+      const double used = pack_scanline(logic[gi], gate_cell, ax0 + array_w,
+                                        ofu_y, ofu_w, row_h, fp);
       fp.regions.push_back({name, Rect{ax0 + array_w, ofu_y, ofu_w, used}});
       ofu_y += used;
     }
@@ -246,7 +236,7 @@ Floorplan sdp_place(const FlatNetlist& nl, const cell::Library& lib,
   fp.outline = Rect{0, 0, w * std::sqrt(kWhitespaceFactor),
                     h * std::sqrt(kWhitespaceFactor)};
   double cell_area = 0.0;
-  for (const auto* c : rc.per_gate) cell_area += c->area_um2;
+  for (const auto* c : gate_cell) cell_area += c->area_um2;
   fp.utilization = cell_area / fp.outline.area();
   fp.wirelength_um = total_hpwl_um(nl, fp);
   return fp;
@@ -254,7 +244,7 @@ Floorplan sdp_place(const FlatNetlist& nl, const cell::Library& lib,
 
 Floorplan scattered_place(const FlatNetlist& nl, const cell::Library& lib,
                           unsigned seed) {
-  const ResolvedCells rc = resolve(nl, lib);
+  const auto gate_cell = cell::bind(nl, lib, "scattered_place").cells;
   const double row_h = lib.node().std_row_height_um;
   Floorplan fp;
   fp.gate_rects.assign(nl.gates().size(), Rect{});
@@ -264,7 +254,7 @@ Floorplan scattered_place(const FlatNetlist& nl, const cell::Library& lib,
   std::vector<std::uint32_t> order(nl.gates().size());
   for (std::uint32_t g = 0; g < order.size(); ++g) {
     order[g] = g;
-    cell_area += rc.per_gate[g]->area_um2;
+    cell_area += gate_cell[g]->area_um2;
   }
   std::mt19937 rng(seed);
   std::shuffle(order.begin(), order.end(), rng);
@@ -273,7 +263,7 @@ Floorplan scattered_place(const FlatNetlist& nl, const cell::Library& lib,
   // Bitcells keep their height; pack everything row-major. Rows must be
   // tall enough for the tallest cell placed in them; use std row height
   // and let bitcells sit inside it.
-  pack_scanline(order, rc, 0.0, 0.0, target_w, row_h, fp);
+  pack_scanline(order, gate_cell, 0.0, 0.0, target_w, row_h, fp);
   double w = 0.0, h = 0.0;
   for (std::uint32_t g = 0; g < fp.gate_rects.size(); ++g) {
     w = std::max(w, fp.gate_rects[g].x2());
@@ -312,30 +302,36 @@ double total_hpwl_um(const FlatNetlist& nl, const Floorplan& fp) {
   return total;
 }
 
-sta::WireModel extract_wire_model(const FlatNetlist& nl, const Floorplan& fp,
-                                  const tech::TechNode& node) {
+sta::WireModel extract_wire_model(const FlatNetlist& nl,
+                                  const cell::Library& lib,
+                                  const Floorplan& fp) {
   OBS_SPAN("layout.extract");
   struct BBox {
     double x0 = 1e30, y0 = 1e30, x1 = -1e30, y1 = -1e30;
     int pins = 0;
     int clock_pins = 0;
   };
+  const cell::Binding bound = cell::bind(nl, lib, "extract_wire_model");
   std::vector<BBox> boxes(nl.net_count());
-  const auto& pin_names = nl.pin_names();
   for (std::uint32_t g = 0; g < nl.gates().size(); ++g) {
     if (!fp.placed[g]) continue;
     const Rect& r = fp.gate_rects[g];
     const double cx = r.x + r.w / 2, cy = r.y + r.h / 2;
-    for (const auto& pc : nl.gates()[g].pins) {
+    const auto& fg = nl.gates()[g];
+    for (const auto& pc : fg.pins) {
       BBox& b = boxes[pc.net];
       b.x0 = std::min(b.x0, cx);
       b.y0 = std::min(b.y0, cy);
       b.x1 = std::max(b.x1, cx);
       b.y1 = std::max(b.y1, cy);
       ++b.pins;
-      if (pin_names[pc.pin_name] == "CK") ++b.clock_pins;
+      const int pi = bound.table.pin(fg.master, pc.pin_name);
+      if (bound.cells[g]->pins[static_cast<std::size_t>(pi)].is_clock) {
+        ++b.clock_pins;
+      }
     }
   }
+  const tech::TechNode& node = lib.node();
   sta::WireModel wm;
   wm.per_net_cap_ff.assign(nl.net_count(), 0.0);
   for (std::uint32_t n = 0; n < nl.net_count(); ++n) {
@@ -357,7 +353,7 @@ sta::WireModel extract_wire_model(const FlatNetlist& nl, const Floorplan& fp,
 DrcReport run_drc(const FlatNetlist& nl, const cell::Library& lib,
                   const Floorplan& fp) {
   OBS_SPAN("layout.drc");
-  const ResolvedCells rc = resolve(nl, lib);
+  const auto gate_cell = cell::bind(nl, lib, "run_drc").cells;
   DrcReport rep;
   const double eps = 1e-6;
   // Spatial hash for overlap checks.
@@ -370,7 +366,7 @@ DrcReport run_drc(const FlatNetlist& nl, const cell::Library& lib,
   for (std::uint32_t g = 0; g < nl.gates().size(); ++g) {
     if (!fp.placed[g]) {
       rep.violations.push_back("gate " + std::to_string(g) + " (" +
-                               rc.per_gate[g]->name + ") not placed");
+                               gate_cell[g]->name + ") not placed");
       if (rep.violations.size() > 20) return rep;
       continue;
     }
@@ -405,7 +401,7 @@ DrcReport run_drc(const FlatNetlist& nl, const cell::Library& lib,
 LvsReport run_lvs(const FlatNetlist& nl, const cell::Library& lib,
                   const Floorplan& fp) {
   OBS_SPAN("layout.lvs");
-  const ResolvedCells rc = resolve(nl, lib);
+  const auto gate_cell = cell::bind(nl, lib, "run_lvs").cells;
   LvsReport rep;
   if (fp.gate_rects.size() != nl.gates().size()) {
     rep.mismatches.push_back("placement database size mismatch");
@@ -417,7 +413,7 @@ LvsReport run_lvs(const FlatNetlist& nl, const cell::Library& lib,
       if (rep.mismatches.size() > 20) return rep;
       continue;
     }
-    const cell::Cell* c = rc.per_gate[g];
+    const cell::Cell* c = gate_cell[g];
     const Rect& r = fp.gate_rects[g];
     // Footprint must match the master (height may be the std row for
     // logic cells packed into rows).

@@ -62,10 +62,12 @@ struct Floorplan {
 [[nodiscard]] double total_hpwl_um(const netlist::FlatNetlist& nl,
                                    const Floorplan& fp);
 
-/// Per-net wire capacitance back-annotation for STA/power.
+/// Per-net wire capacitance back-annotation for STA/power, with the
+/// wire constants of `lib`'s technology node. Nets whose pins are mostly
+/// clock pins are left to clock-tree synthesis (no wire cap).
 [[nodiscard]] sta::WireModel extract_wire_model(const netlist::FlatNetlist& nl,
-                                                const Floorplan& fp,
-                                                const tech::TechNode& node);
+                                                const cell::Library& lib,
+                                                const Floorplan& fp);
 
 struct DrcReport {
   std::vector<std::string> violations;

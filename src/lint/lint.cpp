@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "cell/bind.hpp"
 #include "obs/obs.hpp"
 
 namespace syndcim::lint {
@@ -15,6 +16,8 @@ namespace syndcim::lint {
 namespace {
 
 using netlist::FlatNetlist;
+using netlist::gate_label;
+using netlist::net_label;
 
 /// Emits through the engine with a per-rule cap; suppressed findings are
 /// still counted in the summary and surfaced as one trailing note per
@@ -64,17 +67,6 @@ class Reporter {
   std::map<std::string, std::size_t> suppressed_;
 };
 
-std::string net_label(const FlatNetlist& nl, std::uint32_t net) {
-  const std::string& name = nl.net_name(net);
-  return name.empty() ? "net#" + std::to_string(net) : name;
-}
-
-std::string gate_label(const FlatNetlist& nl, std::uint32_t g) {
-  const auto& gate = nl.gates()[g];
-  return nl.group_names()[gate.group] + "/" +
-         nl.master_names()[gate.master] + "#" + std::to_string(g);
-}
-
 const std::string& gate_group(const FlatNetlist& nl, std::uint32_t g) {
   return nl.group_names()[nl.gates()[g].group];
 }
@@ -103,11 +95,16 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
   const std::size_t n_gates = nl.gates().size();
   const std::size_t n_nets = nl.net_count();
 
-  // Resolve each interned master against the library once.
-  std::vector<const cell::Cell*> masters(nl.master_names().size(), nullptr);
-  for (std::size_t m = 0; m < masters.size(); ++m) {
-    masters[m] = lib.find(nl.master_names()[m]);
-  }
+  // The engines' pin table: nullptr for an unknown master, -1 for an
+  // unknown pin, each reported here instead of thrown.
+  const cell::PinTable table = cell::pin_table(nl, lib);
+  const auto& masters = table.masters;
+  // The cell pin a connection lands on; nullptr when it resolves to none.
+  const auto pin_of = [&](const FlatNetlist::Gate& gate,
+                          const FlatNetlist::PinConn& pc) -> const cell::Pin* {
+    const int pi = table.pin(gate.master, pc.pin_name);
+    return pi < 0 ? nullptr : &masters[gate.master]->pins[pi];
+  };
   for (std::size_t m = 0; m < masters.size(); ++m) {
     if (masters[m]) continue;
     std::size_t uses = 0;
@@ -152,7 +149,7 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
     }
     std::vector<bool> connected(cell->pins.size(), false);
     for (const auto& pc : gate.pins) {
-      const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
+      const int pi = table.pin(gate.master, pc.pin_name);
       if (pi < 0) {
         rep.emit(core::Severity::kError, "LINT-UNKNOWN-PIN",
                  "connection to pin '" + nl.pin_names()[pc.pin_name] +
@@ -214,20 +211,16 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
   // Net -> combinational loads, then driver -> load edges.
   std::vector<std::vector<std::int32_t>> net_loads(n_nets);
   for (const std::uint32_t g : comb) {
-    const cell::Cell* cell = masters[nl.gates()[g].master];
     for (const auto& pc : nl.gates()[g].pins) {
-      const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
-      if (pi >= 0 && cell->pins[pi].is_input) {
-        net_loads[pc.net].push_back(node_of[g]);
-      }
+      const cell::Pin* p = pin_of(nl.gates()[g], pc);
+      if (p && p->is_input) net_loads[pc.net].push_back(node_of[g]);
     }
   }
   std::vector<std::vector<std::int32_t>> adj(comb.size());  // node -> nodes
   for (const std::uint32_t g : comb) {
-    const cell::Cell* cell = masters[nl.gates()[g].master];
     for (const auto& pc : nl.gates()[g].pins) {
-      const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
-      if (pi >= 0 && !cell->pins[pi].is_input) {
+      const cell::Pin* p = pin_of(nl.gates()[g], pc);
+      if (p && !p->is_input) {
         for (const std::int32_t w : net_loads[pc.net]) {
           adj[node_of[g]].push_back(w);
         }
@@ -311,10 +304,9 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
   // bit (capped at 64 distinct clocks).
   std::map<std::uint32_t, int> clock_bit;  // clock net -> bit
   auto clock_net_of = [&](std::uint32_t g) -> std::int64_t {
-    const cell::Cell* cell = masters[nl.gates()[g].master];
     for (const auto& pc : nl.gates()[g].pins) {
-      const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
-      if (pi >= 0 && cell->pins[pi].is_clock) return pc.net;
+      const cell::Pin* p = pin_of(nl.gates()[g], pc);
+      if (p && p->is_clock) return pc.net;
     }
     return -1;
   };
@@ -347,12 +339,9 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
   // Seed: every register output net launches in its own clock domain.
   for (std::uint32_t g = 0; g < n_gates; ++g) {
     if (gate_clock[g] < 0) continue;
-    const cell::Cell* cell = masters[nl.gates()[g].master];
     for (const auto& pc : nl.gates()[g].pins) {
-      const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
-      if (pi >= 0 && !cell->pins[pi].is_input) {
-        nets[pc.net].domains |= bit_of(gate_clock[g]);
-      }
+      const cell::Pin* p = pin_of(nl.gates()[g], pc);
+      if (p && !p->is_input) nets[pc.net].domains |= bit_of(gate_clock[g]);
     }
   }
   // Propagate through the combinational gates in topological order
@@ -367,21 +356,17 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
   }
   for (std::size_t qi = 0; qi < queue.size(); ++qi) {
     const std::int32_t v = queue[qi];
-    const std::uint32_t g = comb[v];
-    const cell::Cell* cell = masters[nl.gates()[g].master];
+    const auto& gate = nl.gates()[comb[v]];
     std::uint64_t in_domains = 0;
-    for (const auto& pc : nl.gates()[g].pins) {
-      const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
-      if (pi >= 0 && cell->pins[pi].is_input) {
-        in_domains |=
-            nets[pc.net].domains | nets[pc.net].comb_domains;
+    for (const auto& pc : gate.pins) {
+      const cell::Pin* p = pin_of(gate, pc);
+      if (p && p->is_input) {
+        in_domains |= nets[pc.net].domains | nets[pc.net].comb_domains;
       }
     }
-    for (const auto& pc : nl.gates()[g].pins) {
-      const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
-      if (pi >= 0 && !cell->pins[pi].is_input) {
-        nets[pc.net].comb_domains |= in_domains;
-      }
+    for (const auto& pc : gate.pins) {
+      const cell::Pin* p = pin_of(gate, pc);
+      if (p && !p->is_input) nets[pc.net].comb_domains |= in_domains;
     }
     for (const std::int32_t w : adj[v]) {
       if (--indeg[w] == 0) queue.push_back(w);
@@ -415,34 +400,28 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
     }
   }
   for (std::uint32_t g = 0; g < n_gates; ++g) {
-    const cell::Cell* cell = masters[nl.gates()[g].master];
+    const auto& gate = nl.gates()[g];
+    const cell::Cell* cell = masters[gate.master];
     if (!cell) continue;
     const cell::TimingRole role = cell->timing_role();
     if (role == cell::TimingRole::kRegister) {
       const std::uint64_t own = bit_of(gate_clock[g]);
-      for (const auto& pc : nl.gates()[g].pins) {
-        const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
-        if (pi < 0 || !cell->pins[pi].is_input ||
-            cell->pins[pi].is_clock) {
-          continue;
-        }
+      for (const auto& pc : gate.pins) {
+        const cell::Pin* p = pin_of(gate, pc);
+        if (!p || !p->is_input || p->is_clock) continue;
         const std::uint64_t offending = nets[pc.net].comb_domains & ~own;
-        if (offending) {
-          report_crossing(g, cell->pins[pi].name, pc.net, offending);
-        }
+        if (offending) report_crossing(g, p->name, pc.net, offending);
       }
     } else if (role == cell::TimingRole::kStorage && have_write_clock) {
       // Storage cells never synchronize: even a direct foreign-domain
       // register output on a write pin is a violation.
-      for (const auto& pc : nl.gates()[g].pins) {
-        const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
-        if (pi < 0 || !cell->pins[pi].is_input) continue;
+      for (const auto& pc : gate.pins) {
+        const cell::Pin* p = pin_of(gate, pc);
+        if (!p || !p->is_input) continue;
         const std::uint64_t offending =
             (nets[pc.net].domains | nets[pc.net].comb_domains) &
             ~write_mask;
-        if (offending) {
-          report_crossing(g, cell->pins[pi].name, pc.net, offending);
-        }
+        if (offending) report_crossing(g, p->name, pc.net, offending);
       }
     }
   }
@@ -458,8 +437,10 @@ LintSummary lint_design(const netlist::Design& d, const std::string& top,
              "top module '" + top + "' not found in design");
     return rep.finish();
   }
-  for (const std::string& problem : netlist::validate(d, top)) {
-    rep.emit(core::Severity::kError, "LINT-STRUCT", problem);
+  core::DiagEngine structure;
+  netlist::validate(d, top, structure);
+  for (const core::Diagnostic& dg : structure.diags()) {
+    rep.emit(dg.severity, dg.rule, dg.message, dg.object, dg.source);
   }
 
   for (const std::string& mod_name : d.module_names()) {

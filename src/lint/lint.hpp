@@ -19,9 +19,10 @@ namespace syndcim::lint {
 ///   LINT-COMB-LOOP     error    combinational cycle (per SCC, members
 ///                               listed up to a cap)
 ///   LINT-WIDTH         error    module-boundary bus width mismatch
-///   LINT-STRUCT        error    structural problem (unknown master
-///                               module, bad port binding, duplicate
-///                               instance name, missing top)
+///   LINT-STRUCT        error    missing top, or a hierarchy flatten
+///                               refuses (its NET-* findings explain why)
+///   NET-*              error    netlist::validate's hierarchy findings,
+///                               passed on under their own rule ids
 ///   LINT-CDC           warning  clock-domain crossing that bypasses a
 ///                               synchronizing register: a foreign-domain
 ///                               launch reaching a register data pin
@@ -59,11 +60,12 @@ LintSummary lint_netlist(const netlist::FlatNetlist& nl,
                          const cell::Library& lib, core::DiagEngine& diag,
                          const std::string& write_clock = "");
 
-/// Hierarchical checks that need pre-flatten structure: the structural
-/// validation of `netlist::validate` reported as LINT-STRUCT diagnostics
-/// (instead of a throw), unconnected submodule input ports, and
-/// module-boundary bus width mismatches (an instance connecting fewer or
-/// more bits of a bus port than its master declares -> LINT-WIDTH).
+/// Hierarchical checks that need pre-flatten structure: the NET-*
+/// findings of `netlist::validate` (unknown submodule or port, duplicate
+/// instance name, recursive instantiation), unconnected submodule input
+/// ports, and module-boundary bus width mismatches (an instance
+/// connecting fewer or more bits of a bus port than its master declares
+/// -> LINT-WIDTH).
 LintSummary lint_design(const netlist::Design& d, const std::string& top,
                         core::DiagEngine& diag);
 

@@ -1,5 +1,6 @@
 #include "netlist/design.hpp"
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 
@@ -59,10 +60,15 @@ std::vector<std::string> Design::root_modules() const {
 }
 
 namespace {
+/// Depth-first over the instance tree. `visited` holds every module
+/// entered (each is checked once); `path` holds the chain of modules from
+/// the top down to `m`, so an instance of a module already on it is a
+/// recursive hierarchy, which flatten could never finish expanding.
 void validate_module(const Design& d, const Module& m,
                      std::set<std::string>& visited,
-                     core::DiagEngine& diag) {
+                     std::vector<std::string>& path, core::DiagEngine& diag) {
   if (!visited.insert(m.name()).second) return;
+  path.push_back(m.name());
   std::set<std::string> inst_names;
   for (const Instance& inst : m.instances()) {
     if (!inst_names.insert(inst.name).second) {
@@ -87,8 +93,18 @@ void validate_module(const Design& d, const Module& m,
                    c.pin, m.name());
       }
     }
-    validate_module(d, sub, visited, diag);
+    if (std::find(path.begin(), path.end(), sub.name()) != path.end()) {
+      std::string chain;
+      for (const std::string& p : path) chain += p + " -> ";
+      diag.error("NET-RECURSIVE",
+                 m.name() + "/" + inst.name +
+                     ": recursive instantiation " + chain + sub.name(),
+                 inst.name, m.name());
+      continue;
+    }
+    validate_module(d, sub, visited, path, diag);
   }
+  path.pop_back();
 }
 }  // namespace
 
@@ -100,7 +116,8 @@ bool validate(const Design& d, const std::string& top,
     return false;
   }
   std::set<std::string> visited;
-  validate_module(d, d.module(top), visited, diag);
+  std::vector<std::string> path;
+  validate_module(d, d.module(top), visited, path, diag);
   return diag.error_count() == before;
 }
 

@@ -29,14 +29,16 @@ class Design {
 
 /// Structural validation: every submodule master exists, every submodule
 /// connection names a real port with matching existence, instance names are
-/// unique within a module. Returns human-readable problem list (empty if
+/// unique within a module, and no module instances itself through any
+/// chain of submodules. Returns human-readable problem list (empty if
 /// clean).
 [[nodiscard]] std::vector<std::string> validate(const Design& d,
                                                 const std::string& top);
 
 /// Structured validation: the same checks reported as NET-* diagnostics
-/// (NET-NOTOP, NET-DUPINST, NET-NOMODULE, NET-NOPORT) so hierarchy
-/// findings land in the same text/JSON reports as lint and the parsers.
+/// (NET-NOTOP, NET-DUPINST, NET-NOMODULE, NET-NOPORT, NET-RECURSIVE) so
+/// hierarchy findings land in the same text/JSON reports as lint and the
+/// parsers.
 /// Returns true when the design is clean under `top`.
 bool validate(const Design& d, const std::string& top,
               core::DiagEngine& diag);

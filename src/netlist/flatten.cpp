@@ -172,6 +172,17 @@ std::uint32_t FlatNetlist::output_net(std::string_view name) const {
                           std::string(name));
 }
 
+std::string gate_label(const FlatNetlist& nl, std::uint32_t g) {
+  const auto& gate = nl.gates()[g];
+  return nl.group_names()[gate.group] + "/" +
+         nl.master_names()[gate.master] + "#" + std::to_string(g);
+}
+
+std::string net_label(const FlatNetlist& nl, std::uint32_t net) {
+  const std::string& name = nl.net_name(net);
+  return name.empty() ? "net#" + std::to_string(net) : name;
+}
+
 FlatNetlist flatten(const Design& d, const std::string& top) {
   const std::vector<std::string> problems = validate(d, top);
   if (!problems.empty()) {

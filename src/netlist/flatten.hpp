@@ -9,8 +9,10 @@ namespace syndcim::netlist {
 
 /// Flattened gate-level view of a hierarchical design. All hierarchy is
 /// expanded; nets are globally indexed; cell masters and pin names are
-/// interned so downstream engines (STA, simulation, power, layout) resolve
-/// them once against the cell library.
+/// interned, and every downstream engine (STA, simulation, activity,
+/// power, layout) resolves them once against the cell library through
+/// cell::bind, which looks each master and each (master, pin name) pair
+/// up once.
 class FlatNetlist {
  public:
   struct PinConn {
@@ -82,6 +84,11 @@ class FlatNetlist {
   std::vector<PrimaryIo> primary_inputs_;
   std::vector<PrimaryIo> primary_outputs_;
 };
+
+/// "<group>/<master>#<gate>": how diagnostics and errors name a gate.
+[[nodiscard]] std::string gate_label(const FlatNetlist& nl, std::uint32_t g);
+/// The net's name, or "net#<id>" for a net without one.
+[[nodiscard]] std::string net_label(const FlatNetlist& nl, std::uint32_t net);
 
 /// Expands `top` and everything below it into a FlatNetlist.
 /// Unconnected submodule input ports are an error; unconnected outputs get

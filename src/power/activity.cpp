@@ -6,6 +6,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "cell/bind.hpp"
 #include "power/activity_kernel.hpp"
 
 namespace syndcim::power {
@@ -15,7 +16,7 @@ using netlist::FlatNetlist;
 using netlist::NetConst;
 
 namespace {
-constexpr std::uint32_t kNoNet = UINT32_MAX;
+using cell::kNoNet;
 
 /// Base state shared by all estimators: constants pinned, primary inputs
 /// at the workload spec, everything else at the 0.5 prior.
@@ -73,11 +74,6 @@ void fixpoint_scalar(const std::vector<ResolvedGate>& gates,
       if (g.cell->timing_role() != cell::TimingRole::kCombinational) {
         continue;
       }
-      bool connected = true;
-      for (const std::uint32_t net : g.in_nets) {
-        connected = connected && net != kNoNet;
-      }
-      if (!connected) continue;
       const int n_in = static_cast<int>(g.in_nets.size());
       const int combos = 1 << n_in;
       std::vector<double> pout(g.out_nets.size(), 0.0);
@@ -218,9 +214,7 @@ ActivityModel propagate_activity_grouped(const netlist::FlatNetlist& nl,
       const ResolvedGate& g = gates[gi];
       h.str(g.cell->name);
       h.u64(g.in_nets.size());
-      for (const std::uint32_t net : g.in_nets) {
-        h.u32(net == kNoNet ? UINT32_MAX : local_id(net));
-      }
+      for (const std::uint32_t net : g.in_nets) h.u32(local_id(net));
       h.u64(g.out_nets.size());
       for (const std::uint32_t net : g.out_nets) {
         h.u32(net == kNoNet ? UINT32_MAX : local_id(net));

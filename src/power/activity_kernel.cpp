@@ -3,12 +3,14 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "cell/bind.hpp"
+
 namespace syndcim::power {
 
 using netlist::FlatNetlist;
 
 namespace {
-constexpr std::uint32_t kNoNet = UINT32_MAX;
+using cell::kNoNet;
 
 /// True when the cell's pins can be mapped one-to-one onto the canonical
 /// name lists of its kind (same counts, every canonical name present with
@@ -33,29 +35,23 @@ bool canonical_names_match(const cell::Cell& c,
 }  // namespace
 
 ResolvedGates resolve_gates(const FlatNetlist& nl, const cell::Library& lib) {
-  // All string matching (pin names, canonical lists, D/Q role lookup) is
-  // hoisted to one pass over the handful of masters; the per-gate loop
-  // below then runs on integer pin positions only. This function sits on
-  // the per-propagation hot path for both activity engines.
+  // All string matching (canonical lists, D/Q role lookup) is hoisted to
+  // one pass over the handful of masters; the per-gate loop below then
+  // runs on integer pin positions only. This function sits on the
+  // per-propagation hot path for both activity engines.
   struct MasterInfo {
-    const cell::Cell* cell;
-    std::vector<int> pin_of_name;    // netlist pin-name id -> pin index
     std::vector<std::uint16_t> in_pos;   // pin positions of in_nets order
     std::vector<std::uint16_t> out_pos;  // pin positions of out_nets order
     std::vector<std::uint16_t> clock_pos;
     int d_pin = -1;
     int q_pin = -1;
   };
-  const std::size_t n_pin_names = nl.pin_names().size();
-  std::vector<MasterInfo> minfo(nl.master_names().size());
+  const cell::Binding b = cell::bind(nl, lib, "resolve_gates");
+  std::vector<MasterInfo> minfo(b.table.masters.size());
   for (std::size_t m = 0; m < minfo.size(); ++m) {
+    if (!b.table.masters[m]) continue;  // unknown, so no gate uses it
     MasterInfo& mi = minfo[m];
-    mi.cell = &lib.get(nl.master_names()[m]);
-    const cell::Cell& c = *mi.cell;
-    mi.pin_of_name.assign(n_pin_names, -1);
-    for (std::size_t id = 0; id < n_pin_names; ++id) {
-      mi.pin_of_name[id] = c.pin_index(nl.pin_names()[id]);
-    }
+    const cell::Cell& c = *b.table.masters[m];
 
     std::size_t n_in_pins = 0;
     for (const auto& p : c.pins) n_in_pins += p.is_input ? 1 : 0;
@@ -115,16 +111,11 @@ ResolvedGates resolve_gates(const FlatNetlist& nl, const cell::Library& lib) {
         minfo[fg.master].in_pos.size() + minfo[fg.master].out_pos.size();
   }
   out.net_pool.reserve(pool_slots);  // exact: spans below must not move
-  std::vector<std::uint32_t> by_pin;
-  for (const auto& fg : nl.gates()) {
-    const MasterInfo& mi = minfo[fg.master];
+  for (std::uint32_t g = 0; g < nl.gates().size(); ++g) {
+    const MasterInfo& mi = minfo[nl.gates()[g].master];
+    const auto by_pin = b.nets(g);
     ResolvedGate rg;
-    rg.cell = mi.cell;
-    by_pin.assign(mi.cell->pins.size(), kNoNet);
-    for (const auto& pc : fg.pins) {
-      const int pi = mi.pin_of_name[pc.pin_name];
-      if (pi >= 0) by_pin[static_cast<std::size_t>(pi)] = pc.net;
-    }
+    rg.cell = b.cells[g];
     const std::size_t in_off = out.net_pool.size();
     for (const std::uint16_t p : mi.in_pos) out.net_pool.push_back(by_pin[p]);
     const std::size_t out_off = out.net_pool.size();
@@ -138,7 +129,7 @@ ResolvedGates resolve_gates(const FlatNetlist& nl, const cell::Library& lib) {
     rg.q_net = mi.q_pin >= 0 ? by_pin[static_cast<std::size_t>(mi.q_pin)]
                              : kNoNet;
     for (const std::uint16_t p : mi.clock_pos) {
-      if (by_pin[p] != kNoNet) out.clock_nets.push_back(by_pin[p]);
+      out.clock_nets.push_back(by_pin[p]);
     }
     out.gates.push_back(std::move(rg));
   }
@@ -193,25 +184,19 @@ ActivityKernel::ActivityKernel(const ResolvedGates& rg) {
         seq_d_[g] = r.d_net;
       }
     } else {
-      bool connected = true;
-      for (const std::uint32_t net : r.in_nets) {
-        connected = connected && net != kNoNet;
+      if (r.in_nets.size() > 5) {
+        throw std::logic_error(
+            "ActivityKernel: combinational cell " + r.cell->name +
+            " has more than 5 inputs; use the scalar engine");
       }
-      if (connected) {
-        if (r.in_nets.size() > 5) {
-          throw std::logic_error(
-              "ActivityKernel: combinational cell " + r.cell->name +
-              " has more than 5 inputs; use the scalar engine");
-        }
-        klass_[g] = 3;
-        for (const std::uint32_t net : r.in_nets) ins_.push_back(net);
-        const auto& masks =
-            masks_for(*r.cell, r.in_nets.size(), r.out_nets.size());
-        for (std::size_t o = 0; o < r.out_nets.size(); ++o) {
-          if (r.out_nets[o] == kNoNet) continue;
-          outs_.push_back(r.out_nets[o]);
-          masks_.push_back(masks[o]);
-        }
+      klass_[g] = 3;
+      for (const std::uint32_t net : r.in_nets) ins_.push_back(net);
+      const auto& masks =
+          masks_for(*r.cell, r.in_nets.size(), r.out_nets.size());
+      for (std::size_t o = 0; o < r.out_nets.size(); ++o) {
+        if (r.out_nets[o] == kNoNet) continue;
+        outs_.push_back(r.out_nets[o]);
+        masks_.push_back(masks[o]);
       }
     }
     in_begin_.push_back(static_cast<std::uint32_t>(ins_.size()));

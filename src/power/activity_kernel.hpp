@@ -41,6 +41,8 @@ struct ResolvedGates {
   std::vector<std::uint32_t> net_pool;
 };
 
+/// Builds from cell::bind, so it refuses what bind refuses: every input
+/// net is connected, and only out_nets, d_net and q_net may be kNoNet.
 [[nodiscard]] ResolvedGates resolve_gates(const netlist::FlatNetlist& nl,
                                           const cell::Library& lib);
 
@@ -72,8 +74,8 @@ class ActivityKernel {
   void fixpoint(const std::uint32_t* ids, std::size_t n,
                 const ActivitySpec& spec, ActivityModel& am) const;
 
-  // Gate classes: 0 = skip (unconnected), 1 = storage, 2 = register,
-  // 3 = combinational.
+  // Gate classes: 0 = skip (sequential with Q or D unconnected),
+  // 1 = storage, 2 = register, 3 = combinational.
   std::vector<std::uint8_t> klass_;
   std::vector<std::uint32_t> seq_d_;  // per gate; valid for class 2
   std::vector<std::uint32_t> seq_q_;  // per gate; valid for classes 1-2

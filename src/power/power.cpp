@@ -2,8 +2,8 @@
 
 #include <stdexcept>
 
+#include "cell/bind.hpp"
 #include "obs/obs.hpp"
-
 #include "tech/units.hpp"
 
 namespace syndcim::power {
@@ -39,10 +39,9 @@ PowerReport analyze_power(const FlatNetlist& nl, const cell::Library& lib,
   const double l_scale = node.leakage_scale(opt.vdd, opt.temp_c);
   const double v2 = opt.vdd * opt.vdd;
 
-  // Resolve gates once; accumulate per-net cap, driver group, and
-  // per-gate contributions.
-  std::vector<const cell::Cell*> masters;
-  for (const std::string& m : nl.master_names()) masters.push_back(&lib.get(m));
+  // Accumulate per-net cap, driver group, and per-gate contributions,
+  // walking each gate's connections in netlist order.
+  const cell::Binding b = cell::bind(nl, lib, "analyze_power");
 
   std::vector<double> net_cap(nl.net_count(), 0.0);
   std::vector<int> net_fanout(nl.net_count(), 0);
@@ -54,12 +53,11 @@ PowerReport analyze_power(const FlatNetlist& nl, const cell::Library& lib,
     rep.by_group[i].group = nl.group_names()[i];
   }
 
-  for (const auto& fg : nl.gates()) {
-    const cell::Cell* c = masters[fg.master];
+  for (std::uint32_t g = 0; g < nl.gates().size(); ++g) {
+    const auto& fg = nl.gates()[g];
     for (const auto& pc : fg.pins) {
-      const int pi = c->pin_index(nl.pin_names()[pc.pin_name]);
-      if (pi < 0) continue;
-      const cell::Pin& p = c->pins[static_cast<std::size_t>(pi)];
+      const cell::Pin& p = b.cells[g]->pins[static_cast<std::size_t>(
+          b.table.pin(fg.master, pc.pin_name))];
       if (p.is_input) {
         net_cap[pc.net] += p.cap_ff;
         ++net_fanout[pc.net];
@@ -83,12 +81,13 @@ PowerReport analyze_power(const FlatNetlist& nl, const cell::Library& lib,
   // Cell internal + clock energy, leakage.
   double internal_fj = 0.0, clock_fj = 0.0, leak_nw = 0.0;
   std::vector<double> group_leak_nw(rep.by_group.size(), 0.0);
-  for (const auto& fg : nl.gates()) {
-    const cell::Cell* c = masters[fg.master];
+  for (std::uint32_t g = 0; g < nl.gates().size(); ++g) {
+    const auto& fg = nl.gates()[g];
+    const cell::Cell* c = b.cells[g];
     double out_toggles = 0.0;
     for (const auto& pc : fg.pins) {
-      const int pi = c->pin_index(nl.pin_names()[pc.pin_name]);
-      if (pi >= 0 && !c->pins[static_cast<std::size_t>(pi)].is_input) {
+      const int pi = b.table.pin(fg.master, pc.pin_name);
+      if (!c->pins[static_cast<std::size_t>(pi)].is_input) {
         out_toggles += activity.toggle_rate[pc.net];
       }
     }
@@ -114,18 +113,17 @@ PowerReport analyze_power(const FlatNetlist& nl, const cell::Library& lib,
 }
 
 AreaReport analyze_area(const FlatNetlist& nl, const cell::Library& lib) {
-  std::vector<const cell::Cell*> masters;
-  for (const std::string& m : nl.master_names()) masters.push_back(&lib.get(m));
+  const cell::Binding b = cell::bind(nl, lib, "analyze_area");
   AreaReport rep;
   rep.by_group.resize(nl.group_names().size());
   for (std::size_t i = 0; i < rep.by_group.size(); ++i) {
     rep.by_group[i].group = nl.group_names()[i];
   }
-  for (const auto& fg : nl.gates()) {
-    const cell::Cell* c = masters[fg.master];
+  for (std::uint32_t g = 0; g < nl.gates().size(); ++g) {
+    const cell::Cell* c = b.cells[g];
     rep.total_um2 += c->area_um2;
     (c->is_bitcell() ? rep.bitcell_um2 : rep.logic_um2) += c->area_um2;
-    rep.by_group[fg.group].area_um2 += c->area_um2;
+    rep.by_group[nl.gates()[g].group].area_um2 += c->area_um2;
   }
   return rep;
 }

@@ -2,86 +2,46 @@
 
 #include <stdexcept>
 
-#include "netlist/levelize.hpp"
+#include "cell/bind.hpp"
 
 namespace syndcim::sim {
 
 using cell::Kind;
+using cell::kNoNet;
 using netlist::FlatNetlist;
 using netlist::NetConst;
 
-namespace {
-constexpr std::uint32_t kNoNet = UINT32_MAX;
-}
-
 ScalarGateSim::ScalarGateSim(const FlatNetlist& nl, const cell::Library& lib)
     : nl_(nl) {
-  const auto& flat_gates = nl.gates();
-  const std::size_t ngates = flat_gates.size();
-  cells_.reserve(ngates);
+  const cell::Binding b = cell::bind(nl, lib, "ScalarGateSim");
+  const std::size_t ngates = b.cells.size();
+  cells_ = b.cells;
   kinds_.reserve(ngates);
   gate_pin_start_.reserve(ngates + 1);
   gate_pin_start_.push_back(0);
   gate_n_in_.reserve(ngates);
-
-  std::vector<const cell::Cell*> master_cells;
-  for (const std::string& m : nl.master_names()) {
-    master_cells.push_back(&lib.get(m));
-  }
-  const auto& pin_names = nl.pin_names();
-
-  std::vector<std::int32_t> driver(nl.net_count(), -1);
-  std::vector<netlist::LevelizeGate> lv(ngates);
-
   for (std::uint32_t g = 0; g < ngates; ++g) {
-    const auto& fg = flat_gates[g];
-    const cell::Cell* c = master_cells[fg.master];
-    cells_.push_back(c);
-    kinds_.push_back(c->kind);
-    std::vector<std::uint32_t> by_pin(c->pins.size(), kNoNet);
-    for (const auto& pc : fg.pins) {
-      const int pi = c->pin_index(pin_names[pc.pin_name]);
-      if (pi < 0) {
-        throw std::invalid_argument("ScalarGateSim: cell " + c->name +
-                                    " has no pin " + pin_names[pc.pin_name]);
-      }
-      by_pin[static_cast<std::size_t>(pi)] = pc.net;
-    }
-    const bool comb = c->timing_role() == cell::TimingRole::kCombinational;
+    const cell::Cell& c = *cells_[g];
+    kinds_.push_back(c.kind);
+    const auto nets = b.nets(g);
     int n_in = 0;
-    for (std::size_t pi = 0; pi < c->pins.size(); ++pi) {
-      if (!c->pins[pi].is_input) continue;
+    for (std::size_t pi = 0; pi < nets.size(); ++pi) {
+      if (!c.pins[pi].is_input) continue;
       ++n_in;
-      if (by_pin[pi] == kNoNet) {
-        throw std::invalid_argument("ScalarGateSim: unconnected input " +
-                                    c->pins[pi].name + " on " + c->name);
-      }
-      pin_pool_.push_back(by_pin[pi]);
-      if (comb) lv[g].in_nets.push_back(by_pin[pi]);
+      pin_pool_.push_back(nets[pi]);
     }
-    for (std::size_t pi = 0; pi < c->pins.size(); ++pi) {
-      if (c->pins[pi].is_input) continue;
-      const std::uint32_t net = by_pin[pi];
-      pin_pool_.push_back(net);
-      if (comb) lv[g].out_nets.push_back(net);
-      if (net != kNoNet) {
-        if (driver[net] >= 0) {
-          throw std::invalid_argument(
-              "ScalarGateSim: multiple drivers on a net");
-        }
-        driver[net] = static_cast<std::int32_t>(g);
-      }
+    for (std::size_t pi = 0; pi < nets.size(); ++pi) {
+      if (!c.pins[pi].is_input) pin_pool_.push_back(nets[pi]);
     }
     gate_n_in_.push_back(static_cast<std::uint8_t>(n_in));
     gate_pin_start_.push_back(static_cast<std::uint32_t>(pin_pool_.size()));
-    lv[g].combinational = comb;
-    if (!comb) {
+    if (c.timing_role() != cell::TimingRole::kCombinational) {
       seq_gates_.push_back(g);
-      if (c->is_bitcell()) bitcells_.push_back(g);
+      if (c.is_bitcell()) bitcells_.push_back(g);
     }
   }
 
-  levels_ = netlist::levelize(nl, lv, "ScalarGateSim");
+  levels_ = cell::levelize(b, "ScalarGateSim");
 
   values_.assign(nl.net_count(), 0);
   for (std::uint32_t n = 0; n < nl.net_count(); ++n) {

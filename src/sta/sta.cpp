@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <type_traits>
 
-#include "netlist/levelize.hpp"
 #include "obs/obs.hpp"
 
 namespace syndcim::sta {
@@ -16,7 +15,7 @@ using netlist::FlatNetlist;
 using netlist::NetConst;
 
 namespace {
-constexpr std::uint32_t kNoNet = UINT32_MAX;
+using cell::kNoNet;
 constexpr double kStorageQSlewPs = 80.0;  // weak bitcell read transition
 constexpr double kClockSlewPs = 40.0;
 
@@ -51,91 +50,43 @@ double TimingReport::group_wns(std::string_view g) const {
 }
 
 StaEngine::StaEngine(const FlatNetlist& nl, const cell::Library& lib)
-    : nl_(nl), lib_(lib) {
-  const auto& flat_gates = nl.gates();
-  gates_.reserve(flat_gates.size());
-
-  // Resolve masters and pin name ids once.
-  std::vector<const cell::Cell*> master_cells;
-  master_cells.reserve(nl.master_names().size());
-  for (const std::string& m : nl.master_names()) {
-    master_cells.push_back(&lib.get(m));
-  }
-  // pin name id -> string (interned); resolved per (cell, pin id) lazily.
-  const auto& pin_names = nl.pin_names();
-
+    : nl_(nl), lib_(lib), bind_(cell::bind(nl, lib, "StaEngine")) {
+  const std::size_t ngates = bind_.cells.size();
   const std::size_t nnets = nl.net_count();
+  // Per-net pin loads, and the structural half of the group interfaces: a
+  // net leaves its driver's group if any other group consumes it or it is
+  // a primary output.
+  std::vector<std::uint32_t> dgroup(nnets, kNoNet);
+  for (std::uint32_t n = 0; n < nnets; ++n) {
+    if (bind_.driver[n] >= 0) {
+      dgroup[n] = nl.gates()[static_cast<std::size_t>(bind_.driver[n])].group;
+    }
+  }
+  std::vector<std::uint8_t> crosses(nnets, 0);
+  for (const auto& io : nl.primary_outputs()) crosses[io.net] = 1;
   pin_cap_sum_.assign(nnets, 0.0);
   fanout_.assign(nnets, 0);
-  driver_gate_.assign(nnets, -1);
-  driver_pin_.assign(nnets, -1);
-
-  for (const auto& fg : flat_gates) {
-    GateInfo gi;
-    gi.cell = master_cells[fg.master];
-    gi.group = fg.group;
-    gi.pin_nets.assign(gi.cell->pins.size(), kNoNet);
-    for (const auto& pc : fg.pins) {
-      const int pi = gi.cell->pin_index(pin_names[pc.pin_name]);
-      if (pi < 0) {
-        throw std::invalid_argument("StaEngine: cell " + gi.cell->name +
-                                    " has no pin " + pin_names[pc.pin_name]);
-      }
-      gi.pin_nets[static_cast<std::size_t>(pi)] = pc.net;
-    }
-    const std::uint32_t g = static_cast<std::uint32_t>(gates_.size());
-    for (std::size_t pi = 0; pi < gi.cell->pins.size(); ++pi) {
-      const std::uint32_t net = gi.pin_nets[pi];
-      if (net == kNoNet) {
-        if (gi.cell->pins[pi].is_input) {
-          throw std::invalid_argument("StaEngine: unconnected input pin " +
-                                      gi.cell->pins[pi].name + " on " +
-                                      gi.cell->name);
-        }
-        continue;
-      }
-      if (gi.cell->pins[pi].is_input) {
-        pin_cap_sum_[net] += gi.cell->pins[pi].cap_ff;
-        ++fanout_[net];
-      } else {
-        if (driver_gate_[net] >= 0) {
-          throw std::invalid_argument("StaEngine: net has multiple drivers");
-        }
-        if (nl.net_const(net) != NetConst::kNone) {
-          throw std::invalid_argument("StaEngine: gate drives constant net");
-        }
-        driver_gate_[net] = static_cast<std::int32_t>(g);
-        driver_pin_[net] = static_cast<std::int8_t>(pi);
-      }
-    }
-    gates_.push_back(std::move(gi));
-  }
-  for (const auto& io : nl.primary_inputs()) {
-    if (driver_gate_[io.net] >= 0) {
-      throw std::invalid_argument("StaEngine: primary input " + io.name +
-                                  " also driven by a gate");
+  for (std::uint32_t g = 0; g < ngates; ++g) {
+    const cell::Cell& c = *bind_.cells[g];
+    const auto nets = bind_.nets(g);
+    for (std::size_t pi = 0; pi < nets.size(); ++pi) {
+      if (!c.pins[pi].is_input) continue;
+      pin_cap_sum_[nets[pi]] += c.pins[pi].cap_ff;
+      ++fanout_[nets[pi]];
+      if (dgroup[nets[pi]] != nl.gates()[g].group) crosses[nets[pi]] = 1;
     }
   }
 
-  // Levelize combinational gates with the shared netlist helper (one
-  // levelization scheme and one comb-loop check for STA and both
-  // simulators).
-  std::vector<netlist::LevelizeGate> lv(gates_.size());
-  for (std::uint32_t g = 0; g < gates_.size(); ++g) {
-    const GateInfo& gi = gates_[g];
-    lv[g].combinational =
-        gi.cell->timing_role() == cell::TimingRole::kCombinational;
-    if (!lv[g].combinational) continue;
-    for (std::size_t pi = 0; pi < gi.cell->pins.size(); ++pi) {
-      (gi.cell->pins[pi].is_input ? lv[g].in_nets : lv[g].out_nets)
-          .push_back(gi.pin_nets[pi]);
-    }
-  }
-  gate_order_ = netlist::levelize(nl, lv, "StaEngine");
+  // The shared levelizer: one scheme and one comb-loop check for STA and
+  // both simulators.
+  gate_order_ = cell::levelize(bind_, "StaEngine");
 
   net_const_.assign(nnets, 0);
   for (std::uint32_t n = 0; n < nnets; ++n) {
     net_const_[n] = nl.net_const(n) != NetConst::kNone ? 1 : 0;
+    // Constants, primary inputs and dangling nets: no gate drives them
+    // (bind refuses a gate driving a constant).
+    if (bind_.driver[n] < 0) undriven_.push_back(n);
   }
 
   // Flatten the timing arcs into a CSR in the exact (level, gate, arc)
@@ -159,12 +110,12 @@ StaEngine::StaEngine(const FlatNetlist& nl, const cell::Library& lib)
   };
   for (const auto& level : gate_order_) {
     for (const std::uint32_t g : level) {
-      const GateInfo& gi = gates_[g];
-      for (const auto& arc : gi.cell->arcs) {
+      const auto nets = bind_.nets(g);
+      for (const auto& arc : bind_.cells[g]->arcs) {
         const std::uint32_t in_net =
-            gi.pin_nets[static_cast<std::size_t>(arc.from_pin)];
+            nets[static_cast<std::size_t>(arc.from_pin)];
         const std::uint32_t out_net =
-            gi.pin_nets[static_cast<std::size_t>(arc.to_pin)];
+            nets[static_cast<std::size_t>(arc.to_pin)];
         if (in_net == kNoNet || out_net == kNoNet) continue;
         // Arcs from constant nets can never fire (the scalar arm skips
         // them on every visit); dropping them here removes the per-arc
@@ -195,62 +146,49 @@ StaEngine::StaEngine(const FlatNetlist& nl, const cell::Library& lib)
 
   // Launch points and setup endpoints, resolved once so per-analysis work
   // never touches pin names or roles.
-  for (std::uint32_t g = 0; g < gates_.size(); ++g) {
-    const GateInfo& gi = gates_[g];
-    const cell::TimingRole role = gi.cell->timing_role();
+  for (std::uint32_t g = 0; g < ngates; ++g) {
+    const cell::Cell& c = *bind_.cells[g];
+    const cell::TimingRole role = c.timing_role();
     if (role == cell::TimingRole::kCombinational) continue;
     const bool storage = role == cell::TimingRole::kStorage;
-    for (std::size_t pi = 0; pi < gi.cell->pins.size(); ++pi) {
-      const cell::Pin& p = gi.cell->pins[pi];
-      const std::uint32_t net = gi.pin_nets[pi];
+    const auto nets = bind_.nets(g);
+    for (std::size_t pi = 0; pi < nets.size(); ++pi) {
+      const cell::Pin& p = c.pins[pi];
+      const std::uint32_t net = nets[pi];
       if (net == kNoNet) continue;
       if (!p.is_input) {
         launches_.push_back({g, net, static_cast<std::uint16_t>(pi), storage});
       } else if (!p.is_clock && !net_const_[net]) {
-        setup_eps_.push_back({net, g, gi.group, static_cast<std::uint16_t>(pi),
-                              storage, gi.cell->setup_ps});
+        setup_eps_.push_back({net, g, nl.gates()[g].group,
+                              static_cast<std::uint16_t>(pi), storage,
+                              c.setup_ps});
       }
     }
   }
 
-  // Structural group-interface membership (driver group, crossing nets,
-  // first-use dedup) — the per-analysis pass only annotates at/slew.
+  // Group-interface membership (first-use dedup over the crossing nets
+  // found above); the per-analysis pass only annotates at/slew.
   const std::size_t ngroups = nl.group_names().size();
-  std::vector<std::uint32_t> dgroup(nnets, kNoNet);
-  for (std::uint32_t n = 0; n < nnets; ++n) {
-    if (driver_gate_[n] >= 0) {
-      dgroup[n] = gates_[static_cast<std::size_t>(driver_gate_[n])].group;
-    }
-  }
-  // A net leaves its driver's group if any other group consumes it or it
-  // is a primary output.
-  std::vector<std::uint8_t> crosses(nnets, 0);
-  for (const GateInfo& gi : gates_) {
-    for (std::size_t pi = 0; pi < gi.cell->pins.size(); ++pi) {
-      if (!gi.cell->pins[pi].is_input) continue;
-      const std::uint32_t n = gi.pin_nets[pi];
-      if (n != kNoNet && dgroup[n] != gi.group) crosses[n] = 1;
-    }
-  }
-  for (const auto& io : nl.primary_outputs()) crosses[io.net] = 1;
-
   iface_in_.resize(ngroups);
   iface_out_.resize(ngroups);
   // First-use dedup: a net is listed once per group per direction.
   std::vector<std::uint32_t> in_stamp(nnets, kNoNet);
   std::vector<std::uint32_t> out_stamp(nnets, kNoNet);
-  for (const GateInfo& gi : gates_) {
-    for (std::size_t pi = 0; pi < gi.cell->pins.size(); ++pi) {
-      const std::uint32_t n = gi.pin_nets[pi];
+  for (std::uint32_t g = 0; g < ngates; ++g) {
+    const cell::Cell& c = *bind_.cells[g];
+    const std::uint32_t group = nl.gates()[g].group;
+    const auto nets = bind_.nets(g);
+    for (std::size_t pi = 0; pi < nets.size(); ++pi) {
+      const std::uint32_t n = nets[pi];
       if (n == kNoNet || net_const_[n]) continue;
-      if (gi.cell->pins[pi].is_input) {
-        if (dgroup[n] == gi.group || in_stamp[n] == gi.group) continue;
-        in_stamp[n] = gi.group;
-        iface_in_[gi.group].push_back(n);
+      if (c.pins[pi].is_input) {
+        if (dgroup[n] == group || in_stamp[n] == group) continue;
+        in_stamp[n] = group;
+        iface_in_[group].push_back(n);
       } else {
-        if (!crosses[n] || out_stamp[n] == gi.group) continue;
-        out_stamp[n] = gi.group;
-        iface_out_[gi.group].push_back(n);
+        if (!crosses[n] || out_stamp[n] == group) continue;
+        out_stamp[n] = group;
+        iface_out_[group].push_back(n);
       }
     }
   }
@@ -309,10 +247,9 @@ std::shared_ptr<const StaEngine::LoadPlan> StaEngine::load_plan(
       p->launch_slew[i] = kStorageQSlewPs;
       continue;
     }
-    const GateInfo& gi = gates_[lp.gate];
     const double load = p->net_load[lp.qnet];
     double d = 0.0, s = kClockSlewPs;
-    for (const auto& arc : gi.cell->arcs) {
+    for (const auto& arc : bind_.cells[lp.gate]->arcs) {
       if (arc.to_pin != lp.pin) continue;
       d = std::max(d, arc.delay_ps.eval(kClockSlewPs, load));
       s = std::max(s, arc.out_slew_ps.eval(kClockSlewPs, load));
@@ -368,7 +305,7 @@ VariationReport StaEngine::analyze_variation(const StaOptions& opt,
   std::normal_distribution<double> n01;
   VariationReport rep;
   rep.fmax_samples_mhz.reserve(static_cast<std::size_t>(samples));
-  std::vector<float> derate(gates_.size());
+  std::vector<float> derate(bind_.cells.size());
   for (int s = 0; s < samples; ++s) {
     // Global corner shift shared by the die, plus independent local
     // variation per gate (lognormal keeps derates positive).
@@ -395,12 +332,13 @@ void StaEngine::propagate_scalar(const StaOptions& opt,
                                  PropState& ps) const {
   for (const auto& level : gate_order_) {
     for (const std::uint32_t g : level) {
-      const GateInfo& gi = gates_[g];
-      for (const auto& arc : gi.cell->arcs) {
+      const cell::Cell& c = *bind_.cells[g];
+      const auto nets = bind_.nets(g);
+      for (const auto& arc : c.arcs) {
         const std::uint32_t in_net =
-            gi.pin_nets[static_cast<std::size_t>(arc.from_pin)];
+            nets[static_cast<std::size_t>(arc.from_pin)];
         const std::uint32_t out_net =
-            gi.pin_nets[static_cast<std::size_t>(arc.to_pin)];
+            nets[static_cast<std::size_t>(arc.to_pin)];
         if (in_net == kNoNet || out_net == kNoNet) continue;
         if (net_const_[in_net] || ps.untimed[in_net]) continue;
         const double load = net_load_ff(out_net, opt.wire);
@@ -425,11 +363,11 @@ void StaEngine::propagate_scalar(const StaOptions& opt,
         }
       }
       // Case analysis: an output none of whose arcs fired is untimed.
-      for (const auto& arc : gi.cell->arcs) {
+      for (const auto& arc : c.arcs) {
         const std::uint32_t in_net =
-            gi.pin_nets[static_cast<std::size_t>(arc.from_pin)];
+            nets[static_cast<std::size_t>(arc.from_pin)];
         const std::uint32_t out_net =
-            gi.pin_nets[static_cast<std::size_t>(arc.to_pin)];
+            nets[static_cast<std::size_t>(arc.to_pin)];
         if (in_net == kNoNet || out_net == kNoNet) continue;
         if (!ps.slew_set[out_net]) ps.untimed[out_net] = 1;
       }
@@ -447,6 +385,16 @@ void StaEngine::propagate_soa(const LoadPlan& plan, const StaOptions& opt,
   const std::uint32_t* ax_len = ax_len_.data();
   const std::uint32_t* arc_in = arc_in_.data();
   const std::uint32_t* arc_out = arc_out_.data();
+  const std::uint32_t* arc_gate = arc_gate_.data();
+  const std::uint16_t* arc_dax = arc_dax_.data();
+  const std::uint16_t* arc_sax = arc_sax_.data();
+  const std::uint8_t* arc_axis_shared = arc_axis_shared_.data();
+  // Raw pointers in locals: the byte stores into slew_set may alias any
+  // object, so vector accesses would reload their data pointers per arc.
+  PropState::NetTime* ts = ps.ts.data();
+  PropState::Trace* tr = ps.tr.data();
+  std::uint8_t* untimed = ps.untimed.data();
+  std::uint8_t* slew_set = ps.slew_set.data();
   const double max_slew = opt.max_slew_ps;
   const std::size_t nlevels = level_arc_begin_.size() - 1;
   // The derate test is hoisted out of the arc loop; the winner/worst-slew
@@ -460,9 +408,9 @@ void StaEngine::propagate_soa(const LoadPlan& plan, const StaOptions& opt,
       const std::uint32_t in_net = arc_in[a];
       // Const-input arcs were filtered out of the CSR at construction, so
       // case analysis is the only remaining dynamic skip.
-      if (ps.untimed[in_net]) continue;
+      if (untimed[in_net]) continue;
       const std::uint32_t out_net = arc_out[a];
-      const PropState::NetTime in_ts = ps.ts[in_net];
+      const PropState::NetTime in_ts = ts[in_net];
       cell::LutSeg sd, ss;
       if constexpr (decltype(one_axis)::value) {
         // Whole-library shared slew grid: one hoisted axis, one locate
@@ -470,31 +418,31 @@ void StaEngine::propagate_soa(const LoadPlan& plan, const StaOptions& opt,
         sd = locate_axis(ax_vals, ax_len[0], in_ts.slew);
         ss = sd;
       } else {
-        const std::uint16_t dax = arc_dax_[a];
+        const std::uint16_t dax = arc_dax[a];
         sd = locate_axis(ax_vals + ax_off[dax], ax_len[dax], in_ts.slew);
         ss = sd;
-        if (!arc_axis_shared_[a]) {
-          const std::uint16_t sax = arc_sax_[a];
+        if (!arc_axis_shared[a]) {
+          const std::uint16_t sax = arc_sax[a];
           ss = locate_axis(ax_vals + ax_off[sax], ax_len[sax], in_ts.slew);
         }
       }
       const double* dr = rows + arc_drow[a];
       double d = cell::lut_lerp(dr[sd.i], dr[sd.i + 1], sd.t);
-      if constexpr (decltype(derated)::value) d *= gate_derate[arc_gate_[a]];
+      if constexpr (decltype(derated)::value) d *= gate_derate[arc_gate[a]];
       const double cand = in_ts.at + d;
-      PropState::NetTime& ot = ps.ts[out_net];
-      PropState::Trace& otr = ps.tr[out_net];
+      PropState::NetTime& ot = ts[out_net];
+      PropState::Trace& otr = tr[out_net];
       const bool win = cand > ot.at;
       ot.at = win ? cand : ot.at;
       otr.prev_net = win ? in_net : otr.prev_net;
       otr.via_gate =
-          win ? static_cast<std::int32_t>(arc_gate_[a]) : otr.via_gate;
+          win ? static_cast<std::int32_t>(arc_gate[a]) : otr.via_gate;
       const double* sr = rows + arc_srow[a];
       const double s =
           std::min(cell::lut_lerp(sr[ss.i], sr[ss.i + 1], ss.t), max_slew);
-      const bool keep = ps.slew_set[out_net] && s <= ot.slew;
+      const bool keep = slew_set[out_net] && s <= ot.slew;
       ot.slew = keep ? ot.slew : s;
-      ps.slew_set[out_net] = 1;
+      slew_set[out_net] = 1;
     }
   };
   const bool one_axis = ax_off_.size() == 1;
@@ -519,7 +467,7 @@ void StaEngine::propagate_soa(const LoadPlan& plan, const StaOptions& opt,
     const std::uint32_t nend = level_net_begin_[lvl + 1];
     for (std::uint32_t i = nbeg; i < nend; ++i) {
       const std::uint32_t n = level_out_nets_[i];
-      if (!ps.slew_set[n]) ps.untimed[n] = 1;
+      if (!slew_set[n]) untimed[n] = 1;
     }
   }
 }
@@ -548,11 +496,7 @@ TimingReport StaEngine::analyze_impl(const StaOptions& opt,
   ps.untimed.assign(nnets, 0);
   ps.slew_set.assign(nnets, 0);
 
-  for (std::uint32_t n = 0; n < nnets; ++n) {
-    if (driver_gate_[n] < 0 || net_const_[n]) {
-      ps.ts[n].at = 0.0;  // dangling or constant
-    }
-  }
+  for (const std::uint32_t n : undriven_) ps.ts[n].at = 0.0;
   for (const auto& io : nl_.primary_inputs()) {
     ps.ts[io.net] = {opt.input_delay_ps, opt.input_slew_ps};
   }
@@ -688,9 +632,8 @@ TimingReport StaEngine::analyze_impl(const StaOptions& opt,
     rep.critical.arrival_ps = worst_arrival * ds;
     rep.critical.required_ps = worst_required * ds;
     if (worst_sep != nullptr) {
-      const GateInfo& gi = gates_[worst_sep->gate];
-      rep.critical.endpoint =
-          gi.cell->name + "/" + gi.cell->pins[worst_sep->pin].name;
+      const cell::Cell& c = *bind_.cells[worst_sep->gate];
+      rep.critical.endpoint = c.name + "/" + c.pins[worst_sep->pin].name;
     } else {
       rep.critical.endpoint = "<out>/" + worst_po->name;
     }
@@ -701,10 +644,9 @@ TimingReport StaEngine::analyze_impl(const StaOptions& opt,
       PathStage st;
       st.arrival_ps = ps.ts[n].at * ds;
       if (ps.tr[n].via_gate >= 0) {
-        const GateInfo& gi =
-            gates_[static_cast<std::size_t>(ps.tr[n].via_gate)];
-        st.master = gi.cell->name;
-        st.group = nl_.group_names()[gi.group];
+        const auto g = static_cast<std::size_t>(ps.tr[n].via_gate);
+        st.master = bind_.cells[g]->name;
+        st.group = nl_.group_names()[nl_.gates()[g].group];
       } else {
         st.master = "<source>";
         st.group = "";

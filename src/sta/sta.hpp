@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "cell/bind.hpp"
 #include "cell/library.hpp"
 #include "core/diag.hpp"
 #include "netlist/flatten.hpp"
@@ -228,11 +229,6 @@ class StaEngine {
   void propagate_soa(const LoadPlan& plan, const StaOptions& opt,
                      const float* gate_derate, PropState& ps) const;
 
-  struct GateInfo {
-    const cell::Cell* cell;
-    std::vector<std::uint32_t> pin_nets;  // by cell pin index
-    std::uint32_t group;
-  };
   /// One sequential output pin: registers launch clk->q from the plan,
   /// storage launches at t=0.
   struct LaunchPoint {
@@ -255,11 +251,9 @@ class StaEngine {
 
   const netlist::FlatNetlist& nl_;
   const cell::Library& lib_;
-  std::vector<GateInfo> gates_;
+  cell::Binding bind_;
   std::vector<double> pin_cap_sum_;  // per net
   std::vector<int> fanout_;          // per net (input pin count)
-  std::vector<std::int32_t> driver_gate_;  // per net; -1 = none/PI
-  std::vector<std::int8_t> driver_pin_;    // cell pin index of driver
   std::vector<std::vector<std::uint32_t>> gate_order_;  // levels
 
   // SoA arc CSR over the levelized combinational gates, flattened in the
@@ -283,6 +277,7 @@ class StaEngine {
   std::vector<std::uint32_t> level_net_begin_;  // per level, into below
   std::vector<std::uint32_t> level_out_nets_;   // driven nets, visit order
   std::vector<std::uint8_t> net_const_;         // net_const != kNone
+  std::vector<std::uint32_t> undriven_;  // nets no gate drives; start at 0
   std::vector<LaunchPoint> launches_;
   std::vector<SetupEndpoint> setup_eps_;
   // Structural group-interface membership (net ids in report order).

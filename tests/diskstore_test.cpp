@@ -114,7 +114,7 @@ const PipelinePayloads& payloads() {
     out.route.drc = layout::run_drc(out.flat, lib, out.placed.floorplan);
     out.route.lvs = layout::run_lvs(out.flat, lib, out.placed.floorplan);
     out.route.wire =
-        layout::extract_wire_model(out.flat, out.placed.floorplan, lib.node());
+        layout::extract_wire_model(out.flat, lib, out.placed.floorplan);
     {
       sta::StaEngine sta(out.flat, lib);
       sta::StaOptions topt;

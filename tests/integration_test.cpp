@@ -158,7 +158,7 @@ TEST(SclComposition, MatchesFullMacroAnalysis) {
   sta::StaEngine eng(flat, lib());
   sta::StaOptions topt;
   topt.static_inputs = md.static_control_ports();
-  topt.wire = layout::extract_wire_model(flat, fp, lib().node());
+  topt.wire = layout::extract_wire_model(flat, lib(), fp);
   const auto rep = eng.analyze(topt);
   EXPECT_NEAR(est.fmax_mhz, rep.fmax_mhz, 0.25 * rep.fmax_mhz);
 }
@@ -272,7 +272,7 @@ TEST(PostLayoutFlow, WireAnnotationSlowsTiming) {
   sta::StaOptions pre;
   pre.wire.cap_per_fanout_ff = 0.0;
   sta::StaOptions post;
-  post.wire = layout::extract_wire_model(flat, fp, lib().node());
+  post.wire = layout::extract_wire_model(flat, lib(), fp);
   EXPECT_GT(eng.analyze(post).min_period_ps,
             eng.analyze(pre).min_period_ps);
 }

@@ -131,7 +131,7 @@ TEST(Layout, WireModelBackAnnotation) {
   const auto cfg = tiny_cfg();
   const auto b = build(cfg);
   const auto fp = layout::sdp_place(b.flat, lib(), cfg);
-  const auto wm = layout::extract_wire_model(b.flat, fp, lib().node());
+  const auto wm = layout::extract_wire_model(b.flat, lib(), fp);
   ASSERT_EQ(wm.per_net_cap_ff.size(), b.flat.net_count());
   double total = 0.0;
   for (const double c : wm.per_net_cap_ff) {

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/diag.hpp"
@@ -105,6 +106,41 @@ TEST(Design, ValidateFindsBadPortAndDupName) {
   d.add_module(std::move(top));
   const auto problems = validate(d, "top");
   EXPECT_EQ(problems.size(), 2u);
+}
+
+TEST(Netlist, RecursiveHierarchyIsAFindingNotACrash) {
+  // top -> a -> b -> a (mirrors examples/lint_recursive.v): before the
+  // path check, validate passed it and flatten recursed until the stack
+  // overflowed.
+  Design d;
+  Module top("top");
+  const NetId in = top.add_port("in1", PortDir::kIn);
+  const NetId out = top.add_port("out1", PortDir::kOut);
+  top.add_submodule("u_a", "a", {{"x", in}, {"y", out}});
+  d.add_module(std::move(top));
+  for (const auto& [name, sub] : {std::pair{"a", "b"}, std::pair{"b", "a"}}) {
+    Module m(name);
+    const NetId x = m.add_port("x", PortDir::kIn);
+    const NetId y = m.add_port("y", PortDir::kOut);
+    m.add_submodule(std::string("u_") + sub, sub, {{"x", x}, {"y", y}});
+    d.add_module(std::move(m));
+  }
+
+  const auto problems = validate(d, "top");
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find("recursive instantiation top -> a -> b -> a"),
+            std::string::npos)
+      << problems[0];
+  syndcim::core::DiagEngine diag;
+  EXPECT_FALSE(validate(d, "top", diag));
+  EXPECT_EQ(diag.count_rule("NET-RECURSIVE"), 1u);
+  EXPECT_THROW((void)flatten(d, "top"), std::invalid_argument);
+  // Rooted on the cycle itself, the path starts there.
+  const auto from_a = validate(d, "a");
+  ASSERT_EQ(from_a.size(), 1u);
+  EXPECT_NE(from_a[0].find("recursive instantiation a -> b -> a"),
+            std::string::npos)
+      << from_a[0];
 }
 
 TEST(Flatten, SingleLevel) {

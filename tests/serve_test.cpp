@@ -449,6 +449,36 @@ TEST(ServeDaemon, LintRequest) {
   EXPECT_EQ(resp.result.find("diagnostics_json")->as_string(),
             want.to_json());
 
+  // A recursive hierarchy (mirrors examples/lint_recursive.v) is a lint
+  // finding, not a daemon death: flattening it used to overflow the stack.
+  const char* kRecursive =
+      "module top (in1, out1);\n"
+      "  input in1; output out1;\n"
+      "  a u_a (.x(in1), .y(out1));\n"
+      "endmodule\n"
+      "module a (x, y);\n"
+      "  input x; output y;\n"
+      "  b u_b (.x(x), .y(y));\n"
+      "endmodule\n"
+      "module b (x, y);\n"
+      "  input x; output y;\n"
+      "  wire n;\n"
+      "  INVX1 u_inv (.A(x), .Y(n));\n"
+      "  a u_a (.x(n), .y(y));\n"
+      "endmodule\n";
+  ASSERT_TRUE(client.call_extra("lint", {{"top", "top"}}, "netlist",
+                                kRecursive, 0, &resp, &err))
+      << err;
+  ASSERT_TRUE(resp.ok) << resp.raw;
+  EXPECT_FALSE(resp.result.find("clean")->as_bool(true));
+  EXPECT_NE(resp.result.find("diagnostics_json")
+                ->as_string()
+                .find("\"rule\": \"NET-RECURSIVE\""),
+            std::string::npos)
+      << resp.raw;
+  const serve::ClientResponse alive = call(server->port(), "status", {});
+  EXPECT_TRUE(alive.ok) << alive.raw;
+
   // Missing netlist param is a 400, not a crash.
   const serve::ClientResponse missing = call(server->port(), "lint", {});
   EXPECT_FALSE(missing.ok);

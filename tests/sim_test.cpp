@@ -379,15 +379,4 @@ TEST(GateSimLanes, RejectsBadLaneCounts) {
                std::invalid_argument);
 }
 
-TEST(GateSim, RejectsBadNetlists) {
-  // Unconnected input pin.
-  netlist::Design d;
-  netlist::Module m("t");
-  const auto y = m.add_port("y", PortDir::kOut);
-  m.add_cell("i0", "INVX1", {{"Y", y}});
-  d.add_module(std::move(m));
-  const auto flat = netlist::flatten(d, "t");
-  EXPECT_THROW((sim::GateSim{flat, lib()}), std::invalid_argument);
-}
-
 }  // namespace

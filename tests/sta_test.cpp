@@ -108,30 +108,6 @@ TEST(Sta, WireModelLoadIncreasesDelay) {
   EXPECT_GT(heavy, light * 1.2);
 }
 
-TEST(Sta, CombinationalLoopDetected) {
-  netlist::Design d;
-  netlist::Module m("loop");
-  const auto a = m.add_net("a");
-  const auto b = m.add_net("b");
-  m.add_cell("i0", "INVX1", {{"A", a}, {"Y", b}});
-  m.add_cell("i1", "INVX1", {{"A", b}, {"Y", a}});
-  d.add_module(std::move(m));
-  const auto flat = netlist::flatten(d, "loop");
-  EXPECT_THROW((sta::StaEngine{flat, lib()}), std::invalid_argument);
-}
-
-TEST(Sta, MultipleDriversRejected) {
-  netlist::Design d;
-  netlist::Module m("bad");
-  const auto a = m.add_port("a", PortDir::kIn);
-  const auto y = m.add_port("y", PortDir::kOut);
-  m.add_cell("i0", "INVX1", {{"A", a}, {"Y", y}});
-  m.add_cell("i1", "INVX1", {{"A", a}, {"Y", y}});
-  d.add_module(std::move(m));
-  const auto flat = netlist::flatten(d, "bad");
-  EXPECT_THROW((sta::StaEngine{flat, lib()}), std::invalid_argument);
-}
-
 TEST(Sta, MacroPathGroupsAndWriteDomain) {
   rtlgen::MacroConfig cfg;
   cfg.rows = 16;
